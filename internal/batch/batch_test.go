@@ -288,7 +288,7 @@ func mustEngine(t testing.TB, name string) engine.Engine {
 func TestConcurrentBatchesSharedCache(t *testing.T) {
 	pool := engine.NewSessionPool(nil, 4, 0)
 	cache := NewCache(128, 8)
-	s := NewScheduler(Config{Pool: pool, Cache: cache, Parallelism: 2})
+	s := NewScheduler(Config{Pool: pool, Cache: cache})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
@@ -307,7 +307,7 @@ func TestConcurrentBatchesSharedCache(t *testing.T) {
 				}
 			}()
 			answered := 0
-			st := s.Run(context.Background(), reqs, func(r Response) { answered++ })
+			st := s.RunN(context.Background(), 2, reqs, func(r Response) { answered++ })
 			if answered != len(stream) || st.Items != len(stream) {
 				errs <- fmt.Errorf("batch %d: %d answers for %d items", b, answered, len(stream))
 			}

@@ -13,27 +13,25 @@ package batch
 // drain worker, later duplicates attach as waiters (or are answered
 // immediately when the entry is already resolved), and the shared sharded
 // Cache answers repeats across batches without any engine work at all.
-// This is the service's /v1/decide singleflight idea promoted to batch
-// granularity, with the waiting made free: duplicates never occupy a
-// worker.
+// This is the pipeline's singleflight idea (resolve.go) applied within the
+// batch, with the waiting made free: duplicates never occupy a worker.
 //
-// Work drains through a bounded set of workers (Config.Parallelism), each
-// of which checks a memoizing engine.Session out of the shared pool per
-// decision, so batch traffic and interactive traffic compete for the same
-// bounded compute. Cancelling the Run context aborts the whole batch:
-// in-flight decisions stop at the next decomposition-tree node, undispatched
-// entries resolve with the context error.
+// Cache hits are answered inline by the producer through the pipeline's
+// lookup stage, so hot rows never queue behind workers. Misses drain through
+// at most pool-size workers per Run, each running the pipeline's miss path
+// (Resolve's flight, peer fill, admission, guarded compute and store), so
+// batch entries coalesce with concurrent /v1/decide requests and compete
+// for the same admitted compute. Cancelling the Run context aborts the
+// whole batch: in-flight decisions stop at the next decomposition-tree node,
+// undispatched entries resolve with the context error.
 
 import (
 	"context"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dualspace/internal/core"
 	"dualspace/internal/engine"
-	"dualspace/internal/faultinject"
 	"dualspace/internal/hypergraph"
 	"dualspace/internal/obs"
 )
@@ -68,13 +66,15 @@ type Request struct {
 // Response is the outcome of one Request. Res is detached and immutable
 // (shared between all duplicates of the instance); G and H are the
 // canonical forms its edge indices refer to. Exactly one of Res/Err is
-// non-nil. CacheHit marks verdicts served from the shared cache; Deduped
+// non-nil. Source is where the entry's verdict came from; CacheHit marks
+// verdicts no engine ran for here (any Source but SourceComputed); Deduped
 // marks responses that coalesced onto another request of the same batch.
 type Response struct {
 	Index    int
 	G, H     *hypergraph.Hypergraph
 	Res      *core.Result
 	Err      error
+	Source   Source
 	CacheHit bool
 	Deduped  bool
 	// Meta echoes the request's Meta field.
@@ -88,33 +88,31 @@ type Config struct {
 	// Cache is the shared verdict cache; nil or disabled means every
 	// distinct instance is decided.
 	Cache *Cache
-	// Parallelism bounds the drain workers per Run (<= 0: the pool size).
-	// The pool itself bounds total concurrent decisions across batches and
-	// any other pool users.
-	Parallelism int
-	// Metrics, when non-nil, receives every drained decision's wall time
+	// Acquire is the admission stage: it claims a session of Pool for one
+	// compute (nil: Pool.Acquire). The service points it at its bounded
+	// admission queue; its errors (sheds, budget) are returned unchanged.
+	// The pipeline releases the session to Pool.
+	Acquire func(ctx context.Context) (*engine.Session, error)
+	// Metrics, when non-nil, receives every computed verdict's wall time
 	// and stage timings under its resolved engine name (obs.DecideMetrics
-	// preregisters the histograms, so the per-entry update allocates
-	// nothing). Nil disables timing entirely.
+	// preregisters the histograms, so the update allocates nothing).
 	Metrics *obs.DecideMetrics
-	// OnPanic, when non-nil, receives every panic the drain step contains:
-	// the recovered value and the panicking goroutine's stack. The service
-	// bridges it to its slog record and dualspace_panics_total counter.
-	// Called from the worker goroutine that contained the panic; must not
-	// itself panic.
+	// OnPanic, when non-nil, receives every panic the compute step
+	// contains: the recovered value and the panicking goroutine's stack.
+	// The service bridges it to its slog record and dualspace_panics_total
+	// counter. Must not itself panic.
 	OnPanic func(v any, stack []byte)
-	// Fill, when non-nil, is consulted for each cache-missed entry before
-	// an engine session is acquired: given the entry's key, its vertex
-	// universe, and the leader's raw request texts, it may return a
-	// detached verdict obtained elsewhere (the service bridges it to the
-	// cluster peer client). A false return means "compute locally"; Fill
-	// must never block long — it runs on a drain worker's time budget.
+	// Fill, when non-nil, is the peer-fill stage, consulted for a missed
+	// query with raw texts before admission: given the key, its vertex
+	// universe, and the raw request texts, it may return a detached verdict
+	// obtained elsewhere (the service bridges it to the cluster peer
+	// client). A false return means "compute locally"; Fill must never
+	// block long — it runs on the request's time budget.
 	Fill func(ctx context.Context, key Key, n int, rawG, rawH string) (*core.Result, bool)
-	// OnStore, when non-nil, observes every verdict the scheduler adds to
-	// the shared cache (computed or peer-filled, never cache hits), with
-	// the vertex universe its witness indices refer to. The service
-	// bridges it to the verdict log. Called from drain workers; must not
-	// block.
+	// OnStore, when non-nil, observes every verdict the pipeline adds to the
+	// cache (computed or peer-filled, never cache hits), with the vertex
+	// universe its witness indices refer to. The service bridges it to the
+	// verdict log. Must not block.
 	OnStore func(key Key, res *core.Result, n int)
 }
 
@@ -137,19 +135,22 @@ type Stats struct {
 
 // RunStats summarizes one Run: Items = requests consumed, Unique = distinct
 // canonical instances, Deduped = responses coalesced onto an in-batch
-// duplicate, CacheHits = responses answered by the shared cache, Decisions
-// = engine runs completed, Errors = responses carrying an error.
+// duplicate, CacheHits = entries answered by the shared cache or by another
+// request's in-flight resolution, Decisions = engine runs completed, Errors
+// = responses carrying an error.
 type RunStats struct {
 	Items, Unique, Deduped, CacheHits, Decisions, Errors int
 	// PeerFills counts entries answered by Config.Fill.
 	PeerFills int
 }
 
-// Scheduler drains batches; safe for concurrent Runs (which then share the
-// pool, the cache and the lifetime counters, but dedup only within their
-// own stream — cross-batch sharing happens through the cache).
+// Scheduler resolves verdicts (Resolve) and drains batches; safe for
+// concurrent use. Concurrent Runs share the pool, the cache, the flights
+// and the lifetime counters; each dedups its own stream, and cross-request
+// sharing happens through the cache and the flights.
 type Scheduler struct {
-	cfg Config
+	cfg     Config
+	flights flightGroup
 
 	batches   atomic.Int64
 	active    atomic.Int64
@@ -168,10 +169,10 @@ func NewScheduler(cfg Config) *Scheduler {
 	if cfg.Pool == nil {
 		panic("batch: NewScheduler without a session pool")
 	}
-	if cfg.Parallelism <= 0 || cfg.Parallelism > cfg.Pool.Size() {
-		cfg.Parallelism = cfg.Pool.Size()
+	if cfg.Acquire == nil {
+		cfg.Acquire = cfg.Pool.Acquire
 	}
-	return &Scheduler{cfg: cfg}
+	return &Scheduler{cfg: cfg, flights: flightGroup{m: make(map[Key]*flight)}}
 }
 
 // Stats snapshots the lifetime counters.
@@ -190,18 +191,17 @@ func (s *Scheduler) Stats() Stats {
 	}
 }
 
-// entry is one distinct canonical instance within a Run. Fields past key
-// are guarded by the Run's mu until resolved flips true; afterwards res,
-// err, g, h and fromCache are immutable.
+// entry is one distinct canonical instance within a Run. Fields past q are
+// guarded by the Run's mu until resolved flips true; afterwards res, err
+// and src are immutable.
 type entry struct {
-	key       Key
-	leader    Request
-	g, h      *hypergraph.Hypergraph
-	resolved  bool
-	res       *core.Result
-	err       error
-	fromCache bool
-	waiters   []Request
+	q        Query
+	leader   Request
+	resolved bool
+	res      *core.Result
+	err      error
+	src      Source
+	waiters  []Request
 }
 
 // Run consumes reqs until the channel closes, emitting one Response per
@@ -213,12 +213,11 @@ func (s *Scheduler) Run(ctx context.Context, reqs <-chan Request, emit func(Resp
 	return s.RunN(ctx, 0, reqs, emit)
 }
 
-// RunN is Run with a per-batch worker bound overriding Config.Parallelism
-// (<= 0 or beyond the configured bound falls back to it) — the
-// ?parallelism= knob of POST /v1/batch.
+// RunN is Run with at most parallelism drain workers (<= 0 or beyond the
+// pool size: the pool size) — the ?parallelism= knob of POST /v1/batch.
 func (s *Scheduler) RunN(ctx context.Context, parallelism int, reqs <-chan Request, emit func(Response)) RunStats {
-	if parallelism <= 0 || parallelism > s.cfg.Parallelism {
-		parallelism = s.cfg.Parallelism
+	if parallelism <= 0 || parallelism > s.cfg.Pool.Size() {
+		parallelism = s.cfg.Pool.Size()
 	}
 	s.batches.Add(1)
 	s.active.Add(1)
@@ -239,11 +238,34 @@ func (s *Scheduler) RunN(ctx context.Context, parallelism int, reqs <-chan Reque
 	}
 	respond := func(e *entry, req Request, deduped bool) {
 		send(Response{
-			Index: req.Index, G: e.g, H: e.h,
+			Index: req.Index, G: e.q.G, H: e.q.H,
 			Res: e.res, Err: e.err,
-			CacheHit: e.fromCache, Deduped: deduped,
+			Source: e.src, CacheHit: e.src != SourceComputed, Deduped: deduped,
 			Meta: req.Meta,
 		})
+	}
+	// finish resolves e and answers its leader and waiters.
+	finish := func(e *entry, out Outcome, err error) {
+		mu.Lock()
+		e.resolved, e.res, e.err, e.src = true, out.Res, err, out.Source
+		ws := e.waiters
+		e.waiters = nil
+		switch {
+		case err != nil:
+			rs.Errors += 1 + len(ws)
+		case out.Source == SourcePeer:
+			rs.PeerFills++
+		case out.Source == SourceComputed:
+			rs.Decisions++
+		default:
+			rs.CacheHits++
+		}
+		rs.Deduped += len(ws)
+		mu.Unlock()
+		respond(e, e.leader, false)
+		for _, wr := range ws {
+			respond(e, wr, true)
+		}
 	}
 
 	for i := 0; i < parallelism; i++ {
@@ -251,29 +273,8 @@ func (s *Scheduler) RunN(ctx context.Context, parallelism int, reqs <-chan Reque
 		go func() {
 			defer wg.Done()
 			for e := range work {
-				res, filled, err := s.decideEntry(ctx, e)
-				mu.Lock()
-				e.resolved, e.res, e.err = true, res, err
-				// A peer-filled verdict is a cache hit from the cluster's
-				// point of view: no engine ran here, and responses should
-				// say "cached" exactly as a shared-cache hit would.
-				e.fromCache = filled
-				ws := e.waiters
-				e.waiters = nil
-				switch {
-				case err != nil:
-					rs.Errors += 1 + len(ws)
-				case filled:
-					rs.PeerFills++
-				default:
-					rs.Decisions++
-				}
-				rs.Deduped += len(ws)
-				mu.Unlock()
-				respond(e, e.leader, false)
-				for _, wr := range ws {
-					respond(e, wr, true)
-				}
+				out, err := s.resolveMiss(ctx, &e.q)
+				finish(e, out, err)
 			}
 		}()
 	}
@@ -291,16 +292,15 @@ func (s *Scheduler) RunN(ctx context.Context, parallelism int, reqs <-chan Reque
 			send(Response{Index: req.Index, Err: err, Meta: req.Meta})
 			continue
 		}
-		var g, h *hypergraph.Hypergraph
-		var key Key
+		q := Query{Engine: req.Engine, G: req.G, H: req.H, RawG: req.RawG, RawH: req.RawH}
 		if req.Key != nil {
-			g, h, key = req.G, req.H, *req.Key
+			q.Key = *req.Key
 		} else {
-			g, h = req.G.Canonical(), req.H.Canonical()
-			key = NewKey(req.EngineName, g.Fingerprint(), h.Fingerprint())
+			q.G, q.H = req.G.Canonical(), req.H.Canonical()
+			q.Key = NewKey(req.EngineName, q.G.Fingerprint(), q.H.Fingerprint())
 		}
 		mu.Lock()
-		if e, ok := entries[key]; ok {
+		if e, ok := entries[q.Key]; ok {
 			if e.resolved {
 				rs.Deduped++
 				if e.err != nil {
@@ -314,34 +314,21 @@ func (s *Scheduler) RunN(ctx context.Context, parallelism int, reqs <-chan Reque
 			}
 			continue
 		}
-		e := &entry{key: key, leader: req, g: g, h: h}
-		entries[key] = e
+		e := &entry{q: q, leader: req}
+		entries[q.Key] = e
 		rs.Unique++
-		if s.cfg.Cache != nil {
-			if res, ok := s.cfg.Cache.Get(key); ok {
-				e.resolved, e.res, e.fromCache = true, res, true
-				rs.CacheHits++
-				mu.Unlock()
-				respond(e, req, false)
-				continue
-			}
-		}
 		mu.Unlock()
+		out, hit := s.lookup(ctx, q.Key)
+		if hit {
+			finish(e, out, nil)
+			continue
+		}
+		e.q.lookup = out.Lookup
 		select {
 		case work <- e:
 		case <-ctx.Done():
 			// Batch cancelled with this entry undispatched.
-			mu.Lock()
-			e.resolved, e.err = true, ctx.Err()
-			ws := e.waiters
-			e.waiters = nil
-			rs.Errors += 1 + len(ws)
-			rs.Deduped += len(ws)
-			mu.Unlock()
-			respond(e, e.leader, false)
-			for _, wr := range ws {
-				respond(e, wr, true)
-			}
+			finish(e, Outcome{}, ctx.Err())
 		}
 	}
 	close(work)
@@ -355,104 +342,4 @@ func (s *Scheduler) RunN(ctx context.Context, parallelism int, reqs <-chan Reque
 	s.errors.Add(int64(rs.Errors))
 	s.fills.Add(int64(rs.PeerFills))
 	return rs
-}
-
-// decideEntry is the per-entry hot step of a worker's drain loop: decide
-// the entry's instance on a pooled session and publish a detached copy to
-// the shared cache. No scheduler locks are held in here — the session does
-// the long-running work, and RunN's bookkeeping lock is only taken after
-// this returns. The decision itself runs in decideSession behind a panic
-// boundary, so a kernel panic poisons one session (the pool replaces it on
-// Release) instead of killing the worker goroutine — and with it, since
-// this is a plain goroutine and not an HTTP handler, the whole process.
-//
-//dual:allocfree
-func (s *Scheduler) decideEntry(ctx context.Context, e *entry) (*core.Result, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, false, err
-	}
-	// Peer fill first: if the key's cluster owner already holds the verdict,
-	// a bounded network round trip replaces an engine run entirely. Fill
-	// failures of any kind degrade to local compute.
-	if s.cfg.Fill != nil {
-		if res, ok := s.cfg.Fill(ctx, e.key, e.g.N(), e.leader.RawG, e.leader.RawH); ok {
-			if s.cfg.Cache != nil {
-				s.cfg.Cache.Add(e.key, res)
-			}
-			if s.cfg.OnStore != nil {
-				s.cfg.OnStore(e.key, res, e.g.N())
-			}
-			return res, true, nil
-		}
-	}
-	sess, err := s.cfg.Pool.Acquire(ctx)
-	if err != nil {
-		return nil, false, err
-	}
-	res, err := s.decideSession(ctx, sess, e)
-	s.cfg.Pool.Release(sess)
-	if res != nil {
-		if s.cfg.Cache != nil {
-			s.cfg.Cache.Add(e.key, res)
-		}
-		if s.cfg.OnStore != nil {
-			s.cfg.OnStore(e.key, res, e.g.N())
-		}
-	}
-	return res, false, err
-}
-
-// decideSession runs one decision on a held session. containPanic is
-// installed as a deferred method call, not a closure: the drain step is
-// //dual:allocfree, and a deferred method whose pointer arguments stay
-// within this frame keeps the happy path allocation-free where a capturing
-// func literal would not.
-//
-//dual:allocfree
-func (s *Scheduler) decideSession(ctx context.Context, sess *engine.Session, e *entry) (res *core.Result, err error) {
-	defer s.containPanic(sess, &res, &err)
-	// The drain fault point fires behind the recover boundary on the held
-	// session, so an injected panic exercises the same poison-and-replace
-	// path a real kernel panic would.
-	if ferr := faultinject.Fire(ctx, faultinject.PointBatchDrain); ferr != nil {
-		return nil, ferr
-	}
-	var rec *obs.Recorder
-	var t0 time.Time
-	if s.cfg.Metrics != nil {
-		rec = sess.Recorder()
-		rec.Reset()
-		t0 = time.Now()
-	}
-	r, derr := sess.DecideWith(ctx, e.leader.Engine, e.g, e.h)
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.Observe(e.key.Engine, time.Since(t0), rec)
-	}
-	if derr != nil {
-		return nil, derr
-	}
-	// Session results alias the session's pinned scratch; everyone past
-	// this point (cache, waiters, the emitted response) shares one
-	// detached copy.
-	return r.Clone(), nil //dual:allow(allocfree: detaching the verdict from session scratch is the point)
-}
-
-// containPanic is the drain step's recover() boundary. On panic it poisons
-// the session (the pool mints a replacement on Release), counts it, hands
-// the value and stack to Config.OnPanic, and converts the panic into an
-// *engine.PanicError result so the entry's leader and waiters get an
-// answer instead of a hung batch.
-func (s *Scheduler) containPanic(sess *engine.Session, res **core.Result, err *error) {
-	v := recover()
-	if v == nil {
-		return
-	}
-	sess.MarkPoisoned()
-	s.panics.Add(1)
-	stack := debug.Stack()
-	if s.cfg.OnPanic != nil {
-		s.cfg.OnPanic(v, stack)
-	}
-	*res = nil
-	*err = &engine.PanicError{Val: v, Stack: stack}
 }

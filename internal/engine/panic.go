@@ -2,9 +2,9 @@ package engine
 
 import "fmt"
 
-// PanicError wraps a panic recovered at a serving boundary — the service's
-// guarded decide step, the batch scheduler's drain step, or the HTTP
-// middleware — so panic containment has one error type every layer can
+// PanicError wraps a panic recovered at a serving boundary — the verdict
+// pipeline's compute step (batch.Scheduler) or the HTTP middleware — so
+// panic containment has one error type every layer can
 // classify (the service maps it to a 500 with the "panic" reason). The
 // session the panic escaped from must be considered poisoned: its pinned
 // scratch may be mid-mutation, so the boundary marks it

@@ -35,7 +35,8 @@ type Session struct {
 	// Recorder() has run, or an external one via SetRecorder. Like the
 	// scratch it times, it is owned by whoever holds the session. The
 	// storage lives in the Session itself so that attaching (even from a
-	// //dual:allocfree caller like the batch drain loop) allocates nothing.
+	// //dual:allocfree caller like the verdict pipeline's compute step)
+	// allocates nothing.
 	rec      *obs.Recorder
 	recStore obs.Recorder
 	// poisoned marks a session a panic escaped from: its pinned scratch may
@@ -72,7 +73,7 @@ func (s *Session) MemoStats() core.MemoStats { return s.dec.MemoStats() }
 
 // Recorder returns the session's pinned stage-timing recorder, creating and
 // attaching one on first use. Holders that consume per-decision timings
-// (the service's /v1/decide handler, the batch drain workers) Reset it
+// (the verdict pipeline's compute step in internal/batch) Reset it
 // before each decision and read it out after; once attached, every decision
 // on the session records stages, at the cost of a few clock reads and zero
 // allocations. Decisions through engines that cannot use the pinned decider

@@ -44,15 +44,14 @@ import (
 type Point int
 
 const (
-	// PointDecide fires in the service's guarded decide step, after a
-	// worker slot is held and before the engine runs.
+	// PointDecide fires in the verdict pipeline's guarded compute step
+	// (batch.Scheduler, every path: /v1/decide, /v1/cluster/verdict and
+	// /v1/batch entries), on the held session behind its panic boundary,
+	// before the engine runs.
 	PointDecide Point = iota
-	// PointCacheLookup fires in the /v1/decide handler around the verdict
-	// cache lookup (no worker slot held).
+	// PointCacheLookup fires in the verdict pipeline's cache-lookup stage
+	// (no worker slot held).
 	PointCacheLookup
-	// PointBatchDrain fires in the batch scheduler's drain step, on the
-	// held session behind its panic boundary, before the engine runs.
-	PointBatchDrain
 	// PointStreamWrite fires in the NDJSON stream writers (/v1/transversals,
 	// /v1/mine, /v1/batch rows) before each record is encoded: a delay rule
 	// is a slow client-facing write, an error rule a failing one.
@@ -63,7 +62,6 @@ const (
 var pointNames = [numPoints]string{
 	PointDecide:      "decide",
 	PointCacheLookup: "cache_lookup",
-	PointBatchDrain:  "batch_drain",
 	PointStreamWrite: "stream_write",
 }
 
@@ -261,7 +259,7 @@ func sleep(ctx context.Context, d time.Duration) error {
 //
 //	point:action[=delay][:every=N|:p=F]
 //
-// where point is decide | cache_lookup | batch_drain | stream_write,
+// where point is decide | cache_lookup | stream_write,
 // action is panic | cancel | error | delay=DURATION (Go duration syntax),
 // and the optional trigger defaults to every=1 (fire on every pass).
 //
@@ -269,7 +267,7 @@ func sleep(ctx context.Context, d time.Duration) error {
 //
 //	decide:panic:every=7
 //	stream_write:delay=20ms:p=0.25
-//	decide:panic:every=7,batch_drain:panic:every=11,cache_lookup:delay=1ms
+//	decide:panic:every=7,cache_lookup:delay=1ms
 func ParseSpec(spec string, seed int64) (*Injector, error) {
 	var rules []Rule
 	for _, clause := range strings.Split(spec, ",") {

@@ -76,15 +76,15 @@ func TestSeededProbabilityReplays(t *testing.T) {
 }
 
 func TestActionPanicCarriesPoint(t *testing.T) {
-	arm(t, New(1, Rule{Point: PointBatchDrain, Action: ActionPanic, Every: 1}))
+	arm(t, New(1, Rule{Point: PointCacheLookup, Action: ActionPanic, Every: 1}))
 	defer func() {
 		v := recover()
 		p, ok := v.(*Panic)
-		if !ok || p.Point != PointBatchDrain {
-			t.Fatalf("recovered %v, want *Panic at batch_drain", v)
+		if !ok || p.Point != PointCacheLookup {
+			t.Fatalf("recovered %v, want *Panic at cache_lookup", v)
 		}
 	}()
-	_ = Fire(context.Background(), PointBatchDrain)
+	_ = Fire(context.Background(), PointCacheLookup)
 	t.Fatal("panic rule did not panic")
 }
 
@@ -124,7 +124,7 @@ func TestParseSpec(t *testing.T) {
 	good := map[string]Rule{
 		"decide:panic:every=7":        {Point: PointDecide, Action: ActionPanic, Every: 7},
 		"cache_lookup:error":          {Point: PointCacheLookup, Action: ActionError, Every: 1},
-		"batch_drain:cancel:p=0.25":   {Point: PointBatchDrain, Action: ActionCancel, Prob: 0.25},
+		"cache_lookup:cancel:p=0.25":  {Point: PointCacheLookup, Action: ActionCancel, Prob: 0.25},
 		"stream_write:delay=20ms:p=1": {Point: PointStreamWrite, Action: ActionDelay, Delay: 20 * time.Millisecond, Prob: 1},
 		" decide:error:every=2 ":      {Point: PointDecide, Action: ActionError, Every: 2},
 		"decide:panic,decide:panic":   {}, // multi-clause: checked separately below

@@ -139,8 +139,8 @@ type engineDecideObs struct {
 // DecideMetrics aggregates decisions into per-engine histograms: one
 // wall-time histogram per engine plus one duration histogram per (engine,
 // stage). Every series is preregistered in NewDecideMetrics, so Observe —
-// called from the serving hot paths, including the batch scheduler's
-// //dual:allocfree drain step — is map reads and atomic adds only.
+// called from the serving hot paths, including the verdict pipeline's
+// //dual:allocfree compute step — is map reads and atomic adds only.
 type DecideMetrics struct {
 	byEngine map[string]*engineDecideObs
 }

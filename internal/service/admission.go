@@ -22,12 +22,13 @@ package service
 //     and coalesced singleflight followers never claim a slot, so the
 //     degraded mode keeps serving the hot working set at full speed.
 //
-//   - Panic containment (decideGuarded / containPanic / release): a panic
-//     in the kernel is recovered at the session boundary, the session is
-//     marked poisoned (the pool mints a replacement on Release, so capacity
-//     self-heals), and the request gets a 500 with reason "panic" while the
-//     process keeps serving. The ServeHTTP middleware holds the last-resort
-//     boundary for panics outside any session.
+//   - Panic containment: a panic in the kernel is recovered at the verdict
+//     pipeline's one session boundary (batch.Scheduler's compute step), the
+//     session is marked poisoned (the pool mints a replacement on Release,
+//     so capacity self-heals), and the request gets a 500 with reason
+//     "panic" while the process keeps serving. release poisons the sessions
+//     of the application endpoints on the way out, and the ServeHTTP
+//     middleware holds the last-resort boundary for every other panic.
 //
 // BeginDrain starts graceful shutdown: /readyz flips to 503 (load
 // balancers stop routing), parked waiters fail fast with the shed
@@ -40,14 +41,10 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"time"
 
-	"dualspace/internal/core"
 	"dualspace/internal/engine"
-	"dualspace/internal/faultinject"
-	"dualspace/internal/hypergraph"
 )
 
 // Sentinel failures of the resilience layer. The first three are shed
@@ -98,7 +95,7 @@ func (s *Server) budgetCtx(r *http.Request, d time.Duration) (context.Context, c
 // the bounded wait expires, the request's (budget) context fires, or drain
 // begins. The returned error is one of the shed sentinels, errBudget (via
 // context cause), or the plain context error of a vanished client —
-// failAcquire maps each onto the wire. release must be called iff err is
+// fail maps each onto the wire. release must be called iff err is
 // nil.
 func (s *Server) acquire(ctx context.Context) (*engine.Session, error) {
 	if s.draining.Load() {
@@ -130,7 +127,7 @@ func (s *Server) acquire(ctx context.Context) (*engine.Session, error) {
 // panics unwinding through a holder (every call site is deferred): recover
 // stops the unwind long enough to poison the session — scratch a panic
 // tore through must not serve again — then re-panics for the boundary
-// above (containPanic or the middleware) to classify.
+// above (the ServeHTTP middleware) to classify.
 func (s *Server) release(sess *engine.Session) {
 	if v := recover(); v != nil {
 		sess.MarkPoisoned()
@@ -140,38 +137,26 @@ func (s *Server) release(sess *engine.Session) {
 	s.pool.Release(sess)
 }
 
-// decideGuarded runs one decision on a held session behind the panic
-// boundary and the decide fault point. A contained panic poisons the
-// session and comes back as *engine.PanicError.
-func (s *Server) decideGuarded(ctx context.Context, sess *engine.Session, eng engine.Engine, g, h *hypergraph.Hypergraph) (res *core.Result, err error) {
-	defer s.containPanic(sess, &res, &err)
-	if err := faultinject.Fire(ctx, faultinject.PointDecide); err != nil {
+// acquireCompute is batch.Config.Acquire, the verdict pipeline's admission
+// stage: acquire, counting every admitted compute as a decomposition.
+func (s *Server) acquireCompute(ctx context.Context) (*engine.Session, error) {
+	sess, err := s.acquire(ctx)
+	if err != nil {
 		return nil, err
 	}
-	return sess.DecideWith(ctx, eng, g, h)
-}
-
-// containPanic is the session-boundary recover: poison, count, log, and
-// convert the panic into an error result.
-func (s *Server) containPanic(sess *engine.Session, res **core.Result, err *error) {
-	v := recover()
-	if v == nil {
-		return
+	s.decompositions.Add(1)
+	if s.testHookDecideStart != nil {
+		s.testHookDecideStart()
 	}
-	sess.MarkPoisoned()
-	s.panics.Add(1)
-	stack := debug.Stack()
-	s.logPanic("panic contained at session boundary", v, stack)
-	*res = nil
-	*err = &engine.PanicError{Val: v, Stack: stack}
+	return sess, nil
 }
 
-// onBatchPanic is the batch scheduler's Config.OnPanic bridge: the
-// scheduler has already poisoned the session and built the PanicError;
-// the server adds its process-wide counter and the stack record.
-func (s *Server) onBatchPanic(v any, stack []byte) {
+// onPanic is batch.Config.OnPanic: the pipeline has already poisoned the
+// session and built the PanicError; the server adds its process-wide
+// counter and the stack record.
+func (s *Server) onPanic(v any, stack []byte) {
 	s.panics.Add(1)
-	s.logPanic("panic contained in batch drain", v, stack)
+	s.logPanic("panic contained at session boundary", v, stack)
 }
 
 // logPanic emits the slog stack record. Panics are never silent: without a
@@ -185,39 +170,44 @@ func (s *Server) logPanic(msg string, v any, stack []byte) {
 		slog.Any("value", v), slog.String("stack", string(stack)))
 }
 
-// failAcquire maps an acquire failure onto the wire: sheds are 503 +
-// Retry-After, an exhausted budget is 504, a vanished client gets nothing
-// (there is no one to write to).
-func (s *Server) failAcquire(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case errors.Is(err, errQueueFull) || errors.Is(err, errQueueWait) || errors.Is(err, errDraining):
-		s.writeShed(w, r, err)
-	case errors.Is(err, errBudget):
-		s.writeTimeout(w, r, err)
-	default:
-		s.cancelled.Add(1)
-		accessFrom(r.Context()).outcome = "cancelled"
-	}
-}
-
-// failCompute maps a compute failure onto the wire: a contained panic is a
-// 500 with reason "panic", an exhausted budget a 504 with reason
-// "timeout", a vanished client silence, anything else the 422 of a
-// semantic rejection. ctx is the budget context the computation ran under.
-func (s *Server) failCompute(w http.ResponseWriter, r *http.Request, ctx context.Context, err error) {
+// statusOf maps a failed request onto its wire status: a contained panic
+// is a 500, a shed a 503, an exhausted budget a 504, a vanished client 0
+// (there is no one to answer), anything else the 422 of a semantic
+// rejection. ctx is the budget context the request ran under.
+func statusOf(ctx context.Context, err error) int {
 	var pe *engine.PanicError
 	switch {
 	case errors.As(err, &pe):
-		accessFrom(r.Context()).outcome = "panic"
-		writeErrorReason(w, http.StatusInternalServerError, reasonPanic, err)
-	case errors.Is(context.Cause(ctx), errBudget) && ctx.Err() != nil:
+		return http.StatusInternalServerError
+	case errors.Is(err, errQueueFull) || errors.Is(err, errQueueWait) || errors.Is(err, errDraining):
+		return http.StatusServiceUnavailable
+	case budgetExpired(ctx) && (errors.Is(err, errBudget) || errors.Is(err, context.DeadlineExceeded)):
+		return http.StatusGatewayTimeout
+	case ctx.Err() != nil && !budgetExpired(ctx):
+		return 0
+	}
+	return http.StatusUnprocessableEntity
+}
+
+// fail answers a failed request with statusOf's status: sheds carry
+// Retry-After, sheds and timeouts are counted per endpoint, and a vanished
+// client gets nothing.
+func (s *Server) fail(w http.ResponseWriter, r *http.Request, ctx context.Context, err error) {
+	ai := accessFrom(r.Context())
+	switch status := statusOf(ctx, err); status {
+	case http.StatusServiceUnavailable:
+		s.writeShed(w, r, err)
+	case http.StatusGatewayTimeout:
 		s.writeTimeout(w, r, err)
-	case r.Context().Err() != nil:
+	case http.StatusInternalServerError:
+		ai.outcome = "panic"
+		writeErrorReason(w, status, reasonPanic, err)
+	case 0:
 		s.cancelled.Add(1)
-		accessFrom(r.Context()).outcome = "cancelled"
+		ai.outcome = "cancelled"
 	default:
-		accessFrom(r.Context()).outcome = "error"
-		s.writeError(w, http.StatusUnprocessableEntity, err)
+		ai.outcome = "error"
+		s.writeError(w, status, err)
 	}
 }
 

@@ -55,13 +55,13 @@ func (s *Server) handleBorders(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	sess, err := s.acquire(ctx)
 	if err != nil {
-		s.failAcquire(w, r, err)
+		s.fail(w, r, ctx, err)
 		return
 	}
 	defer s.release(sess)
 	b, err := itemsets.ComputeBordersWith(ctx, d, req.Z, sess)
 	if err != nil {
-		s.failCompute(w, r, ctx, err)
+		s.fail(w, r, ctx, err)
 		return
 	}
 	writeJSON(w, bordersResponse{
@@ -113,7 +113,7 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	sess, err := s.acquire(ctx)
 	if err != nil {
-		s.failAcquire(w, r, err)
+		s.fail(w, r, ctx, err)
 		return
 	}
 	defer s.release(sess)
@@ -121,7 +121,7 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 	if strings.TrimSpace(req.Known) == "" {
 		all, _, err := rel.EnumerateKeysIncrementallyWith(ctx, sess)
 		if err != nil {
-			s.failCompute(w, r, ctx, err)
+			s.fail(w, r, ctx, err)
 			return
 		}
 		writeJSON(w, keysResponse{Keys: edgeNames(all.Canonical(), attrSym), Complete: true})
@@ -148,7 +148,7 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := rel.AdditionalKeyWith(ctx, known, sess)
 	if err != nil {
-		s.failCompute(w, r, ctx, err)
+		s.fail(w, r, ctx, err)
 		return
 	}
 	resp := keysResponse{
@@ -206,7 +206,7 @@ func (s *Server) handleCoteries(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	sess, err := s.acquire(ctx)
 	if err != nil {
-		s.failAcquire(w, r, err)
+		s.fail(w, r, ctx, err)
 		return
 	}
 	defer s.release(sess)
@@ -216,7 +216,7 @@ func (s *Server) handleCoteries(w http.ResponseWriter, r *http.Request) {
 		// false exactly when the coterie is non-dominated.
 		dom, found, err := c.FindDominatingWith(ctx, sess)
 		if err != nil {
-			s.failCompute(w, r, ctx, err)
+			s.fail(w, r, ctx, err)
 			return
 		}
 		resp.NonDominated = !found
@@ -226,7 +226,7 @@ func (s *Server) handleCoteries(w http.ResponseWriter, r *http.Request) {
 	} else {
 		nd, err := c.IsNonDominatedWith(ctx, sess)
 		if err != nil {
-			s.failCompute(w, r, ctx, err)
+			s.fail(w, r, ctx, err)
 			return
 		}
 		resp.NonDominated = nd

@@ -14,20 +14,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
 	"dualspace/internal/batch"
-	"dualspace/internal/engine"
 	"dualspace/internal/faultinject"
 	"dualspace/internal/hgio"
-	"dualspace/internal/hypergraph"
 )
 
 // batchItemResponse is one answered batch row: the /v1/decide response body
@@ -45,7 +41,8 @@ type batchItemResponse struct {
 // batchErrorRow reports one row's failure (bad engine name, parse error,
 // semantic rejection) without aborting the rest of the batch. Reason
 // carries the taxonomy class when the failure has one ("panic" for a
-// contained drain-step panic, "timeout" for an expired batch budget).
+// contained compute-step panic, "shed" when admission refused the row's
+// compute, "timeout" for an expired batch budget).
 type batchErrorRow struct {
 	Index  int    `json:"index"`
 	Error  string `json:"error"`
@@ -90,11 +87,8 @@ type rowMeta struct {
 // every duplicate's response correctly; parse and engine-name errors are
 // deterministic per text and replay from the cache the same way.
 type parsedRow struct {
-	eng     engine.Engine
-	engName string
-	g, h    *hypergraph.Hypergraph
+	q       batch.Query
 	sy      *hgio.Symbols
-	key     batch.Key
 	errText string
 }
 
@@ -173,29 +167,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	runDone := make(chan batch.RunStats, 1)
 	go func() {
 		runDone <- s.scheduler.RunN(ctx, parallelism, reqs, func(resp batch.Response) {
+			m := resp.Meta.(rowMeta)
+			// Rows answered by an in-batch duplicate count as neither hit nor
+			// decision; every other row is attributed like a /v1/decide
+			// request.
+			if !resp.Deduped {
+				s.account(m.eng, resp.Source, resp.Err)
+			}
 			if resp.Err != nil {
 				row := batchErrorRow{Index: resp.Index, Error: resp.Err.Error()}
-				var pe *engine.PanicError
-				switch {
-				case errors.As(resp.Err, &pe):
-					row.Reason = reasonPanic
-				case budgetExpired(ctx) && errors.Is(resp.Err, context.DeadlineExceeded):
-					row.Reason = reasonTimeout
+				switch st := statusOf(ctx, resp.Err); st {
+				case http.StatusInternalServerError, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+					row.Reason = reasonForStatus(st)
 				}
 				emitRow(row)
 				return
-			}
-			m := resp.Meta.(rowMeta)
-			// Per-engine /statsz attribution mirrors /v1/decide: a row that
-			// ran a decomposition counts as a decision, a row served by the
-			// shared cache counts as a hit, and coalesced duplicates count
-			// as neither (like decide's coalesced waiters).
-			switch {
-			case resp.Deduped:
-			case resp.CacheHit:
-				s.engStats[m.eng].hits.Add(1)
-			default:
-				s.engStats[m.eng].decisions.Add(1)
 			}
 			dr := renderDecide(resp.Res, resp.G, resp.H, m.sy, resp.CacheHit, m.eng)
 			if resp.Deduped {
@@ -234,18 +220,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		pr, ok := parsedTexts[row]
 		if !ok {
+			// Parse, canonicalize and key once per distinct text; duplicates
+			// then skip straight to the scheduler's dedup map.
 			pr = &parsedRow{}
-			if eng, err := engine.ByName(row.Engine); err != nil {
+			if pr.q, pr.sy, err = s.parseQuery(row); err != nil {
 				pr.errText = err.Error()
-			} else if hs, sy, err := hgio.ReadHypergraphsLimited(s.cfg.Limits,
-				strings.NewReader(row.G), strings.NewReader(row.H)); err != nil {
-				pr.errText = err.Error()
-			} else {
-				// Canonicalize and key once per distinct text; duplicates
-				// then skip straight to the scheduler's dedup map.
-				pr.eng, pr.engName = eng, eng.Name()
-				pr.g, pr.h, pr.sy = hs[0].Canonical(), hs[1].Canonical(), sy
-				pr.key = batch.NewKey(pr.engName, pr.g.Fingerprint(), pr.h.Fingerprint())
 			}
 			parsedTexts[row] = pr
 		}
@@ -258,17 +237,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// The scheduler drains reqs even after cancellation, so this send
 		// never wedges on a dead batch.
 		reqs <- batch.Request{
-			Index: idx, EngineName: pr.engName, Engine: pr.eng,
-			G: pr.g, H: pr.h, Key: &pr.key,
+			Index: idx, EngineName: pr.q.Key.Engine, Engine: pr.q.Engine,
+			G: pr.q.G, H: pr.q.H, Key: &pr.q.Key,
 			RawG: row.G, RawH: row.H,
-			Meta: rowMeta{sy: pr.sy, eng: pr.engName},
+			Meta: rowMeta{sy: pr.sy, eng: pr.q.Key.Engine},
 		}
 		idx++
 	}
 	close(reqs)
 	st := <-runDone
 
-	s.decompositions.Add(int64(st.Decisions))
 	if budgetExpired(ctx) {
 		if c := s.obs.timeouts["batch"]; c != nil {
 			c.Add(1)

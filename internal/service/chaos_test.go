@@ -386,7 +386,7 @@ func TestDrainMidStreamTransversals(t *testing.T) {
 // balances, and the pool replaces every poisoned session.
 func TestBatchPanicRows(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, CacheSize: -1})
-	armFaults(t, "batch_drain:panic:every=2")
+	armFaults(t, "decide:panic:every=2")
 	tri := "a b\nb c\na c\n"
 	g3, h3 := matchingText(3)
 	rows := []map[string]any{
@@ -447,7 +447,7 @@ func TestBatchPanicRows(t *testing.T) {
 func TestChaosMixedFaultsServerSurvives(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 4, CacheSize: 64, QueueDepth: 8, QueueWait: 100 * time.Millisecond})
 	armFaults(t, "decide:panic:every=5,decide:delay=2ms:p=0.2,decide:cancel:every=13,"+
-		"cache_lookup:error:every=7,batch_drain:panic:every=9,stream_write:error:every=11")
+		"cache_lookup:error:every=7,decide:panic:every=9,stream_write:error:every=11")
 
 	instances := make([]map[string]any, 0, 6)
 	tri := "a b\nb c\na c\n"

@@ -17,192 +17,73 @@ package service
 
 import (
 	"context"
-	"errors"
 	"net/http"
-	"strings"
-	"time"
 
 	"dualspace/internal/batch"
 	"dualspace/internal/cluster"
 	"dualspace/internal/core"
-	"dualspace/internal/engine"
-	"dualspace/internal/hgio"
-	"dualspace/internal/hypergraph"
 	"dualspace/internal/verdictlog"
 )
 
-// clusterVerdictResponse is the /v1/cluster/verdict 200 body: the wire
-// verdict plus resolution provenance.
-type clusterVerdictResponse = cluster.WireVerdict
-
 // handleClusterVerdict serves one peer's cache-fill: parse and
 // canonicalize exactly like /v1/decide (same text ⇒ same interning ⇒ same
-// key), answer from the local cache when possible, otherwise compute under
-// the same admission control as client traffic — a shed or timeout comes
-// back 503/504 and the asking peer degrades to local compute. The handler
-// never forwards: a missing verdict is this replica's to compute (it is
-// the owner) or the caller's problem, never a third replica's.
+// key) and resolve through the same pipeline, under the same admission
+// control as client traffic — a shed or timeout comes back 503/504 and the
+// asking peer degrades to local compute. The query carries no raw texts, so
+// the fill is never forwarded: a missing verdict is this replica's to
+// compute (it is the owner) or the caller's problem, never a third
+// replica's.
 func (s *Server) handleClusterVerdict(w http.ResponseWriter, r *http.Request) {
 	s.reqCluster.Add(1)
-	ai := accessFrom(r.Context())
 	ctx, cancel, err := s.budgetCtx(r, s.cfg.DecideTimeout)
 	if err != nil {
-		ai.outcome = "error"
+		accessFrom(r.Context()).outcome = "error"
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	defer cancel()
-	var req decideRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		ai.outcome = "error"
-		s.writeError(w, http.StatusBadRequest, err)
+	q, _, _, ok := s.decodeQuery(w, r)
+	if !ok {
 		return
 	}
-	eng, err := engine.ByName(req.Engine)
-	if err != nil {
-		ai.outcome = "error"
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	engName := eng.Name()
-	ai.engine = engName
-	hs, _, err := hgio.ReadHypergraphsLimited(s.cfg.Limits,
-		strings.NewReader(req.G), strings.NewReader(req.H))
-	if err != nil {
-		ai.outcome = "error"
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	g, h := hs[0].Canonical(), hs[1].Canonical()
-	key := batch.NewKey(engName, g.Fingerprint(), h.Fingerprint())
-	ai.fg, ai.fh = fpPrefix(key.FG), fpPrefix(key.FH)
-
-	if res, ok := s.cache.Get(key); ok {
+	out, err := s.scheduler.Resolve(ctx, q)
+	switch {
+	case out.Source == batch.SourceCache:
 		s.clusterServeHits.Add(1)
-		ai.note("cache_hit", res.Dual, res.Reason.String())
-		wv := cluster.FromResult(res, g.N())
-		wv.Engine, wv.Cached = engName, true
-		writeJSON(w, wv)
+	case out.Source == batch.SourceComputed && err == nil:
+		s.clusterServeComputes.Add(1)
+	}
+	if !s.settle(w, r, ctx, q.Key.Engine, out, err) {
 		return
 	}
-
-	// Miss: compute on behalf of the peer, coalescing with any concurrent
-	// local request for the same key through the shared flight group.
-	for {
-		f, leader := s.flights.join(key)
-		if leader {
-			s.clusterVerdictLeader(w, r, ctx, key, f, eng, engName, g, h, ai)
-			return
-		}
-		f.waiters.Add(1)
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			f.waiters.Add(-1)
-			s.failCompute(w, r, ctx, context.Cause(ctx))
-			return
-		}
-		f.waiters.Add(-1)
-		if f.err == nil {
-			// serve_computes is counted by the flight leader only
-			// (clusterVerdictLeader): it gauges computations performed on
-			// behalf of fills, and a coalesced follower ran none — its
-			// leader may even have been a /v1/decide request.
-			s.coalesced.Add(1)
-			ai.note("coalesced", f.res.Dual, f.res.Reason.String())
-			wv := cluster.FromResult(f.res, g.N())
-			wv.Engine = engName
-			writeJSON(w, wv)
-			return
-		}
-		if !isRetryableFlightErr(f.err) {
-			s.coalesced.Add(1)
-			s.failCompute(w, r, ctx, f.err)
-			return
-		}
-	}
-}
-
-// clusterVerdictLeader computes a fill on a worker slot and publishes to
-// the flight's followers — the /v1/cluster/verdict twin of decideLeader,
-// minus tracing and peer fill (the serving replica IS the owner).
-func (s *Server) clusterVerdictLeader(w http.ResponseWriter, r *http.Request, ctx context.Context, key batch.Key, f *flight, eng engine.Engine, engName string, g, h *hypergraph.Hypergraph, ai *accessInfo) {
-	var fres *core.Result
-	var ferr error
-	defer func() { s.flights.finish(key, f, fres, ferr) }()
-
-	sess, err := s.acquire(ctx)
-	if err != nil {
-		ferr = err
-		s.failAcquire(w, r, err)
-		return
-	}
-	defer s.release(sess)
-	s.decompositions.Add(1)
-	s.engStats[engName].decisions.Add(1)
-	rec := sess.Recorder()
-	rec.Reset()
-	t0 := time.Now()
-	res, err := s.decideGuarded(ctx, sess, eng, g, h)
-	s.obs.decide.Observe(engName, time.Since(t0), rec)
-	if err != nil {
-		ferr = err
-		s.failCompute(w, r, ctx, err)
-		return
-	}
-	fres = res.Clone()
-	s.cache.Add(key, fres)
-	s.appendVerdict(key, fres, g.N())
-	s.clusterServeComputes.Add(1)
-	ai.note("computed", fres.Dual, fres.Reason.String())
-	wv := cluster.FromResult(fres, g.N())
-	wv.Engine = engName
+	wv := cluster.FromResult(out.Res, q.G.N())
+	wv.Engine, wv.Cached = q.Key.Engine, out.Source == batch.SourceCache
 	writeJSON(w, wv)
 }
 
-// tryPeerFill asks key's ring owner for the verdict, when cluster mode is
-// on, this replica is not the owner, and the request is not itself a fill.
-// Returns a detached result on success; nil means "compute locally" for
-// any reason (not owner, breaker open, fan-out bound, peer miss, transport
+// peerFill is batch.Config.Fill: it asks key's ring owner for the verdict
+// when another replica owns it. False means "compute locally" for any
+// reason (not owner, breaker open, fan-out bound, peer miss, transport
 // failure, invalid verdict).
-func (s *Server) tryPeerFill(ctx context.Context, key batch.Key, n int, gText, hText string) *core.Result {
+func (s *Server) peerFill(ctx context.Context, key batch.Key, n int, gText, hText string) (*core.Result, bool) {
 	c := s.cfg.Cluster
-	if c == nil {
-		return nil
-	}
 	owner, remote := c.Owner(key.Hash64())
 	if !remote {
-		return nil
+		return nil, false
 	}
 	wv, err := c.Fill(ctx, owner, key.Engine, gText, hText)
 	if err != nil || wv == nil {
-		return nil
+		return nil, false
 	}
 	res, err := wv.ToResult(n)
 	if err != nil {
 		// The peer answered for a different instance (or corrupt bytes):
 		// never serve it. The counter is the alarm — this should be zero.
 		s.peerInvalid.Add(1)
-		return nil
-	}
-	s.peerFilled.Add(1)
-	return res
-}
-
-// batchFill is batch.Config.Fill: the scheduler-side bridge to the peer
-// client, one fill attempt per cache-missed distinct entry.
-func (s *Server) batchFill(ctx context.Context, key batch.Key, n int, rawG, rawH string) (*core.Result, bool) {
-	if rawG == "" || rawH == "" {
 		return nil, false
 	}
-	res := s.tryPeerFill(ctx, key, n, rawG, rawH)
-	return res, res != nil
-}
-
-// onBatchStore is batch.Config.OnStore: verdicts the scheduler stores go
-// to the verdict log exactly like /v1/decide's.
-func (s *Server) onBatchStore(key batch.Key, res *core.Result, n int) {
-	s.appendVerdict(key, res, n)
+	s.peerFilled.Add(1)
+	return res, true
 }
 
 // appendVerdict hands a stored verdict to the async log writer. The send
@@ -266,12 +147,4 @@ func (s *Server) Close() {
 		close(s.vlogQuit)
 		<-s.vlogDone
 	})
-}
-
-// isRetryableFlightErr reports whether a dead flight's error means "the
-// leader went away" (loop and race for leadership) rather than "the
-// computation failed" (serve the error). Same predicate handleDecide's
-// follower loop applies inline.
-func isRetryableFlightErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }

@@ -56,9 +56,9 @@ func TestDecideCoalescesStampede(t *testing.T) {
 	// served, which requires releasing the leader — hence the waiter
 	// gauge.)
 	deadline := time.Now().Add(30 * time.Second)
-	for s.flights.totalWaiters() < clients-1 {
+	for s.scheduler.FlightWaiters() < clients-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests waiting on the flight", s.flights.totalWaiters(), clients-1)
+			t.Fatalf("only %d of %d requests waiting on the flight", s.scheduler.FlightWaiters(), clients-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -122,5 +122,103 @@ func TestDecideCoalesceDistinctKeysRunSeparately(t *testing.T) {
 	}
 	if got := s.decompositions.Load(); got != 2 {
 		t.Errorf("decompositions = %d, want 2 (one per engine)", got)
+	}
+}
+
+// reply is one raw answer, collected off the test goroutine.
+type reply struct {
+	code       int
+	retryAfter string
+	reason     string
+	dual       any
+}
+
+// ask posts body to url; safe to call from any goroutine.
+func ask(url string, body any) reply {
+	buf, _ := json.Marshal(body)
+	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+	if err != nil {
+		return reply{code: -1, reason: err.Error()}
+	}
+	defer resp.Body.Close()
+	var out map[string]any
+	_ = json.NewDecoder(resp.Body).Decode(&out)
+	r := reply{code: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"), dual: out["dual"]}
+	r.reason, _ = out["reason"].(string)
+	return r
+}
+
+// waitUntil polls cond until it holds, failing the test after 30s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestFlightFollowersOfFailedLeader: a flight whose leader fails before it
+// computes must not hand its followers a wrong answer. Followers of a shed
+// leader are shed too (503 + Retry-After); followers of a leader whose own
+// budget expired race for leadership again and get the verdict. Neither is
+// counted as coalesced. Both verdict endpoints share the flight.
+func TestFlightFollowersOfFailedLeader(t *testing.T) {
+	body := map[string]any{"g": gDual, "h": hDual}
+	for _, path := range []string{"/v1/decide", "/v1/cluster/verdict"} {
+		t.Run(endpointOf(path)+"/shed_leader", func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1, QueueWait: 300 * time.Millisecond})
+			release := blockWorker(t, s, ts)
+			defer release()
+			const n = 6
+			replies := make(chan reply, n)
+			for i := 0; i < n; i++ {
+				go func() { replies <- ask(ts.URL+path, body) }()
+			}
+			for i := 0; i < n; i++ {
+				if r := <-replies; r.code != http.StatusServiceUnavailable || r.reason != reasonShed || r.retryAfter == "" {
+					t.Errorf("reply %d = %+v, want 503 shed with Retry-After", i, r)
+				}
+			}
+			if got := s.coalesced.Load(); got != 0 {
+				t.Errorf("coalesced = %d, want 0: a shed flight served nobody", got)
+			}
+		})
+		t.Run(endpointOf(path)+"/budget_leader", func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1})
+			release := blockWorker(t, s, ts)
+			defer release()
+			leader := make(chan reply, 1)
+			go func() { leader <- ask(ts.URL+path+"?timeout_ms=200", body) }()
+			waitUntil(t, "the leader to park in admission", func() bool { return s.queueWaiters.Load() == 1 })
+			const followers = 3
+			replies := make(chan reply, followers)
+			for i := 0; i < followers; i++ {
+				go func() { replies <- ask(ts.URL+path+"?timeout_ms=2000", body) }()
+			}
+			waitUntil(t, "the followers to join the leader's flight", func() bool {
+				return s.scheduler.FlightWaiters() == followers
+			})
+			if r := <-leader; r.code != http.StatusGatewayTimeout || r.reason != reasonTimeout {
+				t.Fatalf("leader = %+v, want 504 timeout", r)
+			}
+			// One follower takes over the flight and parks in admission; the
+			// other two follow it. Freeing the slot lets it compute.
+			waitUntil(t, "a follower to lead the flight again", func() bool {
+				return s.queueWaiters.Load() == 1 && s.scheduler.FlightWaiters() == followers-1
+			})
+			release()
+			for i := 0; i < followers; i++ {
+				if r := <-replies; r.code != http.StatusOK || r.dual != true {
+					t.Errorf("follower %d = %+v, want the dual verdict", i, r)
+				}
+			}
+			// Only the followers of the second flight coalesced.
+			if got := s.coalesced.Load(); got != followers-1 {
+				t.Errorf("coalesced = %d, want %d", got, followers-1)
+			}
+		})
 	}
 }

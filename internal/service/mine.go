@@ -95,7 +95,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	sess, err := s.acquire(ctx)
 	if err != nil {
-		s.failAcquire(w, r, err)
+		s.fail(w, r, ctx, err)
 		return
 	}
 	defer s.release(sess)

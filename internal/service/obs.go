@@ -183,7 +183,7 @@ func (s *Server) initObs(logger *slog.Logger) {
 	s.decompositions = reg.Counter("dualspace_decompositions_total",
 		"Decision decompositions actually run.")
 	s.coalesced = reg.Counter("dualspace_coalesced_total",
-		"/v1/decide requests served by another request's in-flight computation.")
+		"Requests and batch entries served by another request's in-flight resolution.")
 	s.cancelled = reg.Counter("dualspace_cancelled_total",
 		"Requests abandoned by their client before completion.")
 	s.badRequests = reg.Counter("dualspace_bad_requests_total",
@@ -228,7 +228,7 @@ func (s *Server) initObs(logger *slog.Logger) {
 		func() int64 { return s.scheduler.Stats().Decisions })
 	batchCounter("errors_total", "Batch rows answered with an error.",
 		func() int64 { return s.scheduler.Stats().Errors })
-	batchCounter("panics_total", "Panics contained in the batch drain step.",
+	batchCounter("panics_total", "Panics contained in the verdict pipeline's compute step, on every path.",
 		func() int64 { return s.scheduler.Stats().Panics })
 	reg.GaugeFunc("dualspace_batch_active", "Batch streams currently draining.",
 		func() float64 { return float64(s.scheduler.Stats().Active) })
@@ -353,7 +353,7 @@ type accessInfo struct {
 	engine  string // resolved engine name
 	verdict string // "dual" / "nondual" once decided
 	reason  string // core.Reason string of the verdict
-	outcome string // cache_hit | coalesced | computed | error | cancelled | timeout | shed | panic
+	outcome string // cache_hit | coalesced | computed | peer_fill | error | cancelled | timeout | shed | panic
 	fg, fh  string // canonical fingerprint prefixes of the inputs
 }
 

@@ -33,13 +33,16 @@
 //     verdicts but not on witnesses or statistics). The cache is shared
 //     between /v1/decide and /v1/batch, so batch traffic warms interactive
 //     traffic and vice versa.
+//   - Every verdict — /v1/decide, /v1/cluster/verdict and each /v1/batch
+//     entry — comes out of one pipeline, batch.Scheduler.Resolve: cache
+//     lookup, singleflight, peer fill, admission, guarded compute, store
+//     and log. The handlers only decode, parse, canonicalize and render.
 //   - /v1/batch drains NDJSON streams of decisions through the
 //     batch.Scheduler: canonicalize, dedup by fingerprint key (one
-//     computation fans out to every duplicate in the stream — the
-//     /v1/decide singleflight idea at batch granularity), decide distinct
-//     instances on the shared session pool with bounded per-batch
-//     parallelism and whole-batch cancellation. /v1/mine streams the
-//     dualize-and-advance border-mining loop element by element.
+//     resolution fans out to every duplicate in the stream), resolve
+//     distinct instances with bounded per-batch parallelism and
+//     whole-batch cancellation. /v1/mine streams the dualize-and-advance
+//     border-mining loop element by element.
 //   - All input parsing goes through internal/hgio's *Limited readers with
 //     explicit size/universe limits (Config.Limits), and request bodies are
 //     bounded by Config.MaxBodyBytes (batches by Config.MaxBatchBytes), so
@@ -185,12 +188,9 @@ type Server struct {
 	// across requests without locking.
 	pool *engine.SessionPool
 
-	// scheduler drains /v1/batch streams over the shared pool and cache.
+	// scheduler is the verdict pipeline (Resolve) and drains /v1/batch
+	// streams over the shared pool and cache.
 	scheduler *batch.Scheduler
-
-	// flights coalesces concurrent identical cache-miss /v1/decide requests
-	// (flight.go).
-	flights flightGroup
 
 	// engStats maps every registry engine name to its counters; built once
 	// in initObs, so reads are lock-free.
@@ -250,9 +250,10 @@ type Server struct {
 	logReplayed          atomic.Int64
 	closeOnce            sync.Once
 
-	// testHookDecideStart, when non-nil, runs right after a /v1/decide
-	// request has claimed a worker slot and before the decomposition
-	// starts; tests use it to cancel in-flight requests deterministically.
+	// testHookDecideStart, when non-nil, runs right after a verdict compute
+	// has claimed a worker slot (acquireCompute) and before the
+	// decomposition starts; tests use it to cancel in-flight requests
+	// deterministically.
 	testHookDecideStart func()
 }
 
@@ -306,11 +307,11 @@ func New(cfg Config) *Server {
 	}
 	s.initObs(cfg.Logger)
 	schedCfg := batch.Config{
-		Pool: s.pool, Cache: s.cache, Metrics: s.obs.decide,
-		OnPanic: s.onBatchPanic,
+		Pool: s.pool, Cache: s.cache, Acquire: s.acquireCompute,
+		Metrics: s.obs.decide, OnPanic: s.onPanic, OnStore: s.appendVerdict,
 	}
 	if cfg.Cluster != nil {
-		schedCfg.Fill = s.batchFill
+		schedCfg.Fill = s.peerFill
 	}
 	if cfg.VerdictLog != nil {
 		s.vlog = cfg.VerdictLog
@@ -319,7 +320,6 @@ func New(cfg Config) *Server {
 		s.vlogQuit = make(chan struct{})
 		s.vlogDone = make(chan struct{})
 		go s.vlogWriter()
-		schedCfg.OnStore = s.onBatchStore
 	}
 	s.scheduler = batch.NewScheduler(schedCfg)
 	s.mux.HandleFunc("POST /v1/decide", s.handleDecide)
@@ -512,8 +512,8 @@ type statsResponse struct {
 		Evictions int64 `json:"evictions"`
 	} `json:"memo"`
 	Decompositions int64 `json:"decompositions"`
-	// Coalesced counts /v1/decide requests that joined another request's
-	// in-flight identical computation instead of running their own.
+	// Coalesced counts requests and batch entries (any path) served by
+	// another request's in-flight identical resolution instead of their own.
 	Coalesced       int64 `json:"coalesced"`
 	Cancelled       int64 `json:"cancelled"`
 	BadRequests     int64 `json:"bad_requests"`
@@ -754,7 +754,8 @@ type decideResponse struct {
 // stage, plus the request wall time they are bounded by. Stages are
 // disjoint, so their sum is at most wall_ns; cached and coalesced
 // responses report only the stages they actually ran (parse, canonicalize,
-// cache lookup).
+// cache lookup). Wall is measured when the block is built, so every
+// recorded stage is a sub-interval of it.
 type traceStats struct {
 	WallNs         int64 `json:"wall_ns"`
 	ParseNs        int64 `json:"parse_ns"`
@@ -766,212 +767,122 @@ type traceStats struct {
 	MemoNs         int64 `json:"memo_ns,omitempty"`
 }
 
-// traceState accumulates a /v1/decide request's stage timings. The
-// handler-local stages (parse, canonicalize, cache lookup) are timed here;
-// engine stages come from the worker session's recorder on computed
-// responses. The state exists whether or not the client asked for a trace
-// — the same numbers feed the per-engine stage histograms — but attach
-// renders it onto the response only when enabled.
-type traceState struct {
-	enabled              bool
-	start                time.Time
-	parse, canon, lookup time.Duration
-	stages               obs.StageTimings
+// newTrace builds the ?trace=1 block: the handler's own stages from q, the
+// cache probe and (computed verdicts only) the engine stages from out.
+func newTrace(start time.Time, q batch.Query, out batch.Outcome) *traceStats {
+	return &traceStats{
+		WallNs:         time.Since(start).Nanoseconds(),
+		ParseNs:        q.Parse.Nanoseconds(),
+		CanonicalizeNs: q.Canon.Nanoseconds(),
+		CacheLookupNs:  out.Lookup.Nanoseconds(),
+		PrecheckNs:     out.Stages[obs.StagePrecheck],
+		IndexSyncNs:    out.Stages[obs.StageIndexSync],
+		WalkNs:         out.Stages[obs.StageWalk],
+		MemoNs:         out.Stages[obs.StageMemo],
+	}
 }
 
-// attach renders the trace block onto resp when the request asked for it.
-// Wall is measured at attach time, so every recorded stage is a
-// sub-interval of it.
-func (t *traceState) attach(resp *decideResponse) {
-	if !t.enabled {
-		return
+// parseQuery is the front half every verdict endpoint shares: resolve the
+// engine ("" is the default portfolio), parse, canonicalize and key, timed
+// into q.Parse and q.Canon.
+func (s *Server) parseQuery(req decideRequest) (q batch.Query, sy *hgio.Symbols, err error) {
+	t0 := time.Now()
+	if q.Engine, err = engine.ByName(req.Engine); err != nil {
+		return q, nil, err
 	}
-	resp.Trace = &traceStats{
-		WallNs:         time.Since(t.start).Nanoseconds(),
-		ParseNs:        t.parse.Nanoseconds(),
-		CanonicalizeNs: t.canon.Nanoseconds(),
-		CacheLookupNs:  t.lookup.Nanoseconds(),
-		PrecheckNs:     t.stages[obs.StagePrecheck],
-		IndexSyncNs:    t.stages[obs.StageIndexSync],
-		WalkNs:         t.stages[obs.StageWalk],
-		MemoNs:         t.stages[obs.StageMemo],
+	hs, sy, err := hgio.ReadHypergraphsLimited(s.cfg.Limits,
+		strings.NewReader(req.G), strings.NewReader(req.H))
+	q.Parse = time.Since(t0)
+	if err != nil {
+		return q, nil, err
 	}
+	t0 = time.Now()
+	q.G, q.H = hs[0].Canonical(), hs[1].Canonical()
+	q.Key = batch.NewKey(q.Engine.Name(), q.G.Fingerprint(), q.H.Fingerprint())
+	q.Canon = time.Since(t0)
+	return q, sy, nil
+}
+
+// decodeQuery decodes a /v1/decide or /v1/cluster/verdict body and parses
+// it; a failure is answered with a 400 and reported as ok == false.
+func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (q batch.Query, req decideRequest, sy *hgio.Symbols, ok bool) {
+	ai := accessFrom(r.Context())
+	t0 := time.Now()
+	err := s.decodeJSON(w, r, &req)
+	decode := time.Since(t0)
+	if err == nil {
+		q, sy, err = s.parseQuery(req)
+	}
+	if err != nil {
+		ai.outcome = "error"
+		s.writeError(w, http.StatusBadRequest, err)
+		return q, req, nil, false
+	}
+	q.Parse += decode
+	ai.engine, ai.fg, ai.fh = q.Key.Engine, fpPrefix(q.Key.FG), fpPrefix(q.Key.FH)
+	return q, req, sy, true
 }
 
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	s.reqDecide.Add(1)
-	ai := accessFrom(r.Context())
-	tr := traceState{
-		enabled: r.URL.Query().Get("trace") == "1",
-		start:   time.Now(),
-	}
+	start := time.Now()
 	ctx, cancel, err := s.budgetCtx(r, s.cfg.DecideTimeout)
 	if err != nil {
-		ai.outcome = "error"
+		accessFrom(r.Context()).outcome = "error"
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	defer cancel()
-	t0 := time.Now()
-	var req decideRequest
-	if err := s.decodeJSON(w, r, &req); err != nil {
-		ai.outcome = "error"
-		s.writeError(w, http.StatusBadRequest, err)
+	q, req, sy, ok := s.decodeQuery(w, r)
+	if !ok {
 		return
 	}
-	eng, err := engine.ByName(req.Engine)
-	if err != nil {
-		ai.outcome = "error"
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	engName := eng.Name() // "" resolves to the default portfolio's name
-	ai.engine = engName
-	hs, sy, err := hgio.ReadHypergraphsLimited(s.cfg.Limits,
-		strings.NewReader(req.G), strings.NewReader(req.H))
-	tr.parse = time.Since(t0)
-	if err != nil {
-		ai.outcome = "error"
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	t0 = time.Now()
-	g, h := hs[0].Canonical(), hs[1].Canonical()
-	key := batch.NewKey(engName, g.Fingerprint(), h.Fingerprint())
-	tr.canon = time.Since(t0)
-	ai.fg, ai.fh = fpPrefix(key.FG), fpPrefix(key.FH)
-	t0 = time.Now()
-	// An injected cache fault degrades to a miss: a broken cache must cost
-	// computation, never correctness or availability.
-	var res *core.Result
-	ok := false
-	if faultinject.Fire(ctx, faultinject.PointCacheLookup) == nil {
-		res, ok = s.cache.Get(key)
-	}
-	tr.lookup = time.Since(t0)
-	if ok {
-		s.cacheHits.Add(1)
-		s.engStats[engName].hits.Add(1)
-		ai.note("cache_hit", res.Dual, res.Reason.String())
-		resp := renderDecide(res, g, h, sy, true, engName)
-		tr.attach(&resp)
-		writeJSON(w, resp)
-		return
-	}
-	s.cacheMisses.Add(1)
 	// A request that is itself a peer's work (the loop guard ?no_forward=1
-	// or the peer header) must never fan out again, whatever the ring says.
-	noForward := r.URL.Query().Get("no_forward") == "1" ||
-		r.Header.Get(cluster.PeerHeader) != ""
-	for {
-		f, leader := s.flights.join(key)
-		if leader {
-			s.decideLeader(w, r, ctx, key, f, eng, engName, g, h, sy, ai, &tr, req, noForward)
-			return
-		}
-		// Identical computation already in flight: wait for its verdict
-		// instead of burning a worker slot on a duplicate decomposition.
-		f.waiters.Add(1)
-		select {
-		case <-f.done:
-		case <-ctx.Done():
-			f.waiters.Add(-1)
-			// Budget gone while coalesced: a timeout response. Client gone:
-			// silence; the leader carries on for the rest.
-			s.failCompute(w, r, ctx, context.Cause(ctx))
-			return
-		}
-		f.waiters.Add(-1)
-		if f.err == nil {
-			s.coalesced.Add(1)
-			ai.note("coalesced", f.res.Dual, f.res.Reason.String())
-			resp := renderDecide(f.res, g, h, sy, true, engName)
-			tr.attach(&resp)
-			writeJSON(w, resp)
-			return
-		}
-		if !errors.Is(f.err, context.Canceled) && !errors.Is(f.err, context.DeadlineExceeded) {
-			// A real decision error — identical inputs would fail
-			// identically, so surface it without recomputing (a contained
-			// panic keeps its own taxonomy class through failCompute).
-			s.coalesced.Add(1)
-			s.failCompute(w, r, ctx, f.err)
-			return
-		}
-		// The leader's run was cancelled (its client disconnected, or its
-		// budget — not ours — expired); loop and race to become the new
-		// leader (not counted as coalesced: this request was not served by
-		// the dead flight).
+	// or the peer header) carries no raw texts, so it never fans out again.
+	if r.URL.Query().Get("no_forward") != "1" && r.Header.Get(cluster.PeerHeader) == "" {
+		q.RawG, q.RawH = req.G, req.H
 	}
+	out, err := s.scheduler.Resolve(ctx, q)
+	if out.Source == batch.SourceCache {
+		s.cacheHits.Add(1)
+	} else {
+		s.cacheMisses.Add(1)
+	}
+	if !s.settle(w, r, ctx, q.Key.Engine, out, err) {
+		return
+	}
+	resp := renderDecide(out.Res, q.G, q.H, sy, out.Source != batch.SourceComputed, q.Key.Engine)
+	if r.URL.Query().Get("trace") == "1" {
+		resp.Trace = newTrace(start, q, out)
+	}
+	writeJSON(w, resp)
 }
 
-// decideLeader runs the actual decomposition for a coalesced flight and
-// publishes the outcome to its followers, successful or not — a flight left
-// open would strand every waiter. ctx is the request's budget context.
-func (s *Server) decideLeader(w http.ResponseWriter, r *http.Request, ctx context.Context, key batch.Key, f *flight, eng engine.Engine, engName string, g, h *hypergraph.Hypergraph, sy *hgio.Symbols, ai *accessInfo, tr *traceState, req decideRequest, noForward bool) {
-	var fres *core.Result
-	var ferr error
-	defer func() { s.flights.finish(key, f, fres, ferr) }()
-
-	// Peer fill: when the key's cluster owner is another replica, one
-	// bounded round trip for its cached verdict replaces the decomposition
-	// (and warms the local cache + log for next time). Any failure —
-	// breaker open, fan-out bound, peer miss or error — degrades to local
-	// compute. The flight's followers share the filled verdict either way.
-	if !noForward {
-		if res := s.tryPeerFill(ctx, key, g.N(), req.G, req.H); res != nil {
-			fres = res
-			s.cache.Add(key, fres)
-			s.appendVerdict(key, fres, g.N())
-			ai.note("peer_fill", fres.Dual, fres.Reason.String())
-			resp := renderDecide(fres, g, h, sy, true, engName)
-			tr.attach(&resp)
-			writeJSON(w, resp)
-			return
-		}
-	}
-
-	sess, err := s.acquire(ctx)
+// settle attributes a resolution to the counters and the access record and
+// answers a failed one; it reports whether a verdict is left to render.
+func (s *Server) settle(w http.ResponseWriter, r *http.Request, ctx context.Context, eng string, out batch.Outcome, err error) bool {
+	s.account(eng, out.Source, err)
 	if err != nil {
-		ferr = err
-		s.failAcquire(w, r, err)
-		return
+		s.fail(w, r, ctx, err)
+		return false
 	}
-	defer s.release(sess)
-	if s.testHookDecideStart != nil {
-		s.testHookDecideStart()
+	accessFrom(r.Context()).note(out.Source.String(), out.Res.Dual, out.Res.Reason.String())
+	return true
+}
+
+// account attributes one resolution to the shared counters: every answer
+// another request's resolution produced (verdict or shared error) counts
+// as coalesced, verdicts count as engine cache hits or decisions.
+func (s *Server) account(eng string, src batch.Source, err error) {
+	switch {
+	case src == batch.SourceCoalesced:
+		s.coalesced.Add(1)
+	case err != nil:
+	case src == batch.SourceCache:
+		s.engStats[eng].hits.Add(1)
+	case src == batch.SourceComputed:
+		s.engStats[eng].decisions.Add(1)
 	}
-	s.decompositions.Add(1)
-	s.engStats[engName].decisions.Add(1)
-	// The session's pinned recorder captures the engine stages (precheck,
-	// index sync, walk, memo); the handler-local stages join it so the
-	// per-engine stage histograms and the ?trace=1 block see one consistent
-	// breakdown.
-	rec := sess.Recorder()
-	rec.Reset()
-	t0 := time.Now()
-	res, err := s.decideGuarded(ctx, sess, eng, g, h)
-	wall := time.Since(t0)
-	rec.Add(obs.StageParse, tr.parse)
-	rec.Add(obs.StageCanon, tr.canon)
-	rec.Add(obs.StageCacheLookup, tr.lookup)
-	s.obs.decide.Observe(engName, wall, rec)
-	if err != nil {
-		ferr = err
-		s.failCompute(w, r, ctx, err)
-		return
-	}
-	// Session results alias the worker's pinned scratch and are only valid
-	// until its next decision; the cache and the flight's followers retain
-	// the verdict, so both get one shared detached copy.
-	fres = res.Clone()
-	s.cache.Add(key, fres)
-	s.appendVerdict(key, fres, g.N())
-	ai.note("computed", res.Dual, res.Reason.String())
-	tr.stages = rec.Timings()
-	resp := renderDecide(res, g, h, sy, false, engName)
-	tr.attach(&resp)
-	writeJSON(w, resp)
 }
 
 // renderDecide resolves an index-level verdict into the request's names;

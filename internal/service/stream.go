@@ -84,7 +84,7 @@ func (s *Server) handleTransversals(w http.ResponseWriter, r *http.Request) {
 	// it occupies a worker slot (whose session simply goes unused).
 	sess, err := s.acquire(ctx)
 	if err != nil {
-		s.failAcquire(w, r, err)
+		s.fail(w, r, ctx, err)
 		return
 	}
 	defer s.release(sess)
