@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 
+	"dualspace/internal/bitset"
 	"dualspace/internal/hgio"
 	"dualspace/internal/hypergraph"
 )
@@ -36,38 +37,25 @@ func main() {
 	rel, err := hgio.ReadRelationCSV(f)
 	exitOn(err)
 
-	attrSym := hgio.NewSymbols()
-	for i := 0; i < rel.NumAttrs(); i++ {
-		attrSym.Intern(rel.AttrName(i))
-	}
+	attrSym := hgio.NewSymbols(rel.Attrs()...)
 
 	switch {
 	case *knownPath != "":
-		kf, err := os.Open(*knownPath)
+		text, err := os.ReadFile(*knownPath)
 		exitOn(err)
-		defer kf.Close()
-		el, err := hgio.ParseEdges(kf)
+		hs, _, err := hgio.ParseHypergraphs(hgio.Limits{}, attrSym, string(text))
 		exitOn(err)
-		known := hypergraph.New(rel.NumAttrs())
-		for _, edge := range el {
-			idx := make([]int, len(edge))
-			for i, name := range edge {
-				j := rel.AttrIndex(name)
-				if j < 0 {
-					exitOn(fmt.Errorf("unknown attribute %q in %s", name, *knownPath))
-				}
-				idx[i] = j
-			}
-			known.AddEdgeElems(idx...)
+		if attrSym.Len() > rel.NumAttrs() {
+			exitOn(fmt.Errorf("unknown attribute %q in %s", attrSym.Name(rel.NumAttrs()), *knownPath))
 		}
-		res, err := rel.AdditionalKey(known)
+		res, err := rel.AdditionalKey(hs[0])
 		exitOn(err)
 		if res.Complete {
 			fmt.Println("COMPLETE: no additional minimal key exists")
 			return
 		}
 		fmt.Print("ADDITIONAL KEY: ")
-		exitOn(hgio.WriteHypergraph(os.Stdout, single(rel.NumAttrs(), res.NewKey), attrSym))
+		exitOn(hgio.WriteHypergraph(os.Stdout, hypergraph.FromSets(rel.NumAttrs(), []bitset.Set{res.NewKey}), attrSym))
 		os.Exit(1)
 	case *incremental:
 		known, calls, err := rel.EnumerateKeysIncrementally()
@@ -80,12 +68,6 @@ func main() {
 			keys.M(), rel.NumAttrs(), rel.NumRows())
 		exitOn(hgio.WriteHypergraph(os.Stdout, keys, attrSym))
 	}
-}
-
-func single(n int, e interface{ Elems() []int }) *hypergraph.Hypergraph {
-	h := hypergraph.New(n)
-	h.AddEdgeElems(e.Elems()...)
-	return h
 }
 
 func exitOn(err error) {

@@ -14,7 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -431,14 +431,9 @@ func (s Set) String() string {
 	return "{" + strings.Join(parts, " ") + "}"
 }
 
-// SortSets sorts a slice of sets in place using Compare, with ties broken by
-// cardinality (smaller first). The result is a canonical order.
+// SortSets sorts a slice of sets in place using Compare. Compare is a
+// total order (zero only for equal sets), so the result is a canonical
+// order.
 func SortSets(sets []Set) {
-	sort.Slice(sets, func(i, j int) bool {
-		c := sets[i].Compare(sets[j])
-		if c != 0 {
-			return c < 0
-		}
-		return sets[i].Len() < sets[j].Len()
-	})
+	slices.SortFunc(sets, Set.Compare)
 }

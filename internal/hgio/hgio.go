@@ -31,9 +31,13 @@ type Symbols struct {
 	index map[string]int
 }
 
-// NewSymbols returns an empty table.
-func NewSymbols() *Symbols {
-	return &Symbols{index: map[string]int{}}
+// NewSymbols returns a table holding names, in order.
+func NewSymbols(names ...string) *Symbols {
+	s := &Symbols{index: map[string]int{}}
+	for _, name := range names {
+		s.Intern(name)
+	}
+	return s
 }
 
 // Intern returns the index of name, assigning the next free index on first

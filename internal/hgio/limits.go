@@ -2,11 +2,11 @@ package hgio
 
 // Input limits for untrusted sources. The CLI readers in hgio.go accept
 // whatever the file contains; network-facing consumers (internal/service)
-// parse through the *Limited variants below, which reject oversized input
-// with typed errors before any hypergraph is materialized.
+// pass Limits to the scanner (scan.go) or to the *Limited readers below,
+// which reject oversized input with typed errors before any hypergraph is
+// materialized.
 
 import (
-	"bufio"
 	"encoding/csv"
 	"errors"
 	"fmt"
@@ -55,8 +55,9 @@ type Limits struct {
 	// names. For multi-part inputs over a shared universe, use
 	// CheckUniverse on the combined symbol table as well.
 	MaxUniverse int
-	// MaxLineBytes bounds a single input line (default scanner limit when
-	// zero).
+	// MaxLineBytes bounds a single input line: a line whose bytes before
+	// its '\n' (a '\r' included) number MaxLineBytes or more is rejected.
+	// Zero means 16 MiB.
 	MaxLineBytes int
 }
 
@@ -73,104 +74,54 @@ func (l Limits) CheckUniverse(n int) error {
 // rejecting input that exceeds lim with a LimitError. The universe bound is
 // enforced against the distinct names of this list alone.
 func ParseEdgesLimited(r io.Reader, lim Limits) (EdgeList, error) {
-	var out EdgeList
-	sc := bufio.NewScanner(r)
-	maxLine := 16 * 1024 * 1024
-	if lim.MaxLineBytes > 0 {
-		maxLine = lim.MaxLineBytes
+	texts, err := readTexts(r)
+	if err != nil {
+		return nil, err
 	}
-	sc.Buffer(make([]byte, 0, min(64*1024, maxLine)), maxLine)
-	var distinct map[string]struct{}
-	if lim.MaxUniverse > 0 {
-		distinct = make(map[string]struct{})
+	s := newScanner(lim, nil)
+	if err := s.scan(texts[0]); err != nil {
+		return nil, err
 	}
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	out := make(EdgeList, len(s.bounds)-1)
+	for k := range out {
+		out[k] = []string{}
+		for _, id := range s.ids[s.bounds[k]:s.bounds[k+1]] {
+			out[k] = append(out[k], s.sy.Name(int(id)))
 		}
-		if lim.MaxEdges > 0 && len(out) >= lim.MaxEdges {
-			return nil, &LimitError{Quantity: "edges", Got: -1, Max: lim.MaxEdges}
-		}
-		if line == "-" {
-			out = append(out, []string{})
-			continue
-		}
-		fields := strings.Fields(line)
-		if lim.MaxEdgeVerts > 0 && len(fields) > lim.MaxEdgeVerts {
-			return nil, &LimitError{Quantity: "edge vertices", Got: len(fields), Max: lim.MaxEdgeVerts}
-		}
-		for _, f := range fields {
-			if f == "-" {
-				return nil, fmt.Errorf("hgio: line %d: '-' must stand alone", lineNo)
-			}
-			if distinct != nil {
-				distinct[f] = struct{}{}
-				if len(distinct) > lim.MaxUniverse {
-					return nil, &LimitError{Quantity: "universe", Got: -1, Max: lim.MaxUniverse}
-				}
-			}
-		}
-		out = append(out, fields)
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			return nil, &LimitError{Quantity: "line bytes", Got: -1, Max: maxLine}
-		}
-		return nil, fmt.Errorf("hgio: %w", err)
 	}
 	return out, nil
 }
 
-// ReadHypergraphsLimited is ReadHypergraphs through ParseEdgesLimited, with
-// the universe bound also enforced on the shared symbol table (the lists
-// together may exceed MaxUniverse even when each alone does not).
+// ReadHypergraphsLimited is ParseHypergraphs over whole readers, with a
+// fresh symbol table.
 func ReadHypergraphsLimited(lim Limits, readers ...io.Reader) ([]*hypergraph.Hypergraph, *Symbols, error) {
-	sy := NewSymbols()
-	lists := make([]EdgeList, 0, len(readers))
-	for _, r := range readers {
-		el, err := ParseEdgesLimited(r, lim)
-		if err != nil {
-			return nil, nil, err
-		}
-		el.InternAll(sy)
-		if err := lim.CheckUniverse(sy.Len()); err != nil {
-			return nil, nil, err
-		}
-		lists = append(lists, el)
-	}
-	out := make([]*hypergraph.Hypergraph, len(lists))
-	for i, el := range lists {
-		out[i] = el.Build(sy)
-	}
-	return out, sy, nil
-}
-
-// ReadDatasetLimited is ReadDataset through ParseEdgesLimited.
-func ReadDatasetLimited(r io.Reader, lim Limits) (*itemsets.Dataset, *Symbols, error) {
-	el, err := ParseEdgesLimited(r, lim)
+	texts, err := readTexts(readers...)
 	if err != nil {
 		return nil, nil, err
 	}
-	sy := NewSymbols()
-	el.InternAll(sy)
-	if err := lim.CheckUniverse(sy.Len()); err != nil {
+	return ParseHypergraphs(lim, nil, texts...)
+}
+
+// ReadDatasetLimited is ParseDataset over a whole reader.
+func ReadDatasetLimited(r io.Reader, lim Limits) (*itemsets.Dataset, *Symbols, error) {
+	texts, err := readTexts(r)
+	if err != nil {
 		return nil, nil, err
 	}
-	d := itemsets.NewDataset(sy.Len())
-	if err := d.SetItemNames(sy.Names()); err != nil {
-		return nil, nil, err
-	}
-	for _, row := range el {
-		idx := make([]int, len(row))
-		for i, name := range row {
-			idx[i] = sy.Intern(name)
+	return ParseDataset(lim, texts[0])
+}
+
+// readTexts reads each reader whole into a string, the scanner's input.
+func readTexts(readers ...io.Reader) ([]string, error) {
+	texts := make([]string, len(readers))
+	for i, r := range readers {
+		var b strings.Builder
+		if _, err := io.Copy(&b, r); err != nil {
+			return nil, fmt.Errorf("hgio: %w", err)
 		}
-		d.AddRow(idx...)
+		texts[i] = b.String()
 	}
-	return d, sy, nil
+	return texts, nil
 }
 
 // ReadRelationCSVLimited is ReadRelationCSV with MaxEdges bounding the

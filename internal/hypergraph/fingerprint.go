@@ -9,10 +9,11 @@ package hypergraph
 // canonicalize to the same pair of fingerprints.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"sort"
+	"slices"
 )
 
 // FingerprintSize is the byte length of a Fingerprint (sha256).
@@ -47,27 +48,19 @@ func (h *Hypergraph) Fingerprint() Fingerprint {
 		offs = append(offs, len(buf))
 		buf = e.AppendKey(buf)
 	}
-	sort.Slice(offs, func(i, j int) bool {
-		a, b := buf[offs[i]:offs[i]+keyLen], buf[offs[j]:offs[j]+keyLen]
-		return string(a) < string(b)
+	slices.SortFunc(offs, func(a, b int) int {
+		return bytes.Compare(buf[a:a+keyLen], buf[b:b+keyLen])
 	})
-	// Count and hash distinct keys only, so duplicate edges are ignored.
-	distinct := 0
-	for i, o := range offs {
-		if i > 0 && string(buf[o:o+keyLen]) == string(buf[offs[i-1]:offs[i-1]+keyLen]) {
-			continue
-		}
-		distinct++
-	}
+	// Hash distinct keys only, so duplicate edges are ignored.
+	offs = slices.CompactFunc(offs, func(a, b int) bool {
+		return bytes.Equal(buf[a:a+keyLen], buf[b:b+keyLen])
+	})
 	var hdr [16]byte
 	binary.LittleEndian.PutUint64(hdr[:8], uint64(h.n))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(distinct))
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(offs)))
 	d := sha256.New()
 	d.Write(hdr[:])
-	for i, o := range offs {
-		if i > 0 && string(buf[o:o+keyLen]) == string(buf[offs[i-1]:offs[i-1]+keyLen]) {
-			continue
-		}
+	for _, o := range offs {
 		d.Write(buf[o : o+keyLen])
 	}
 	var out Fingerprint

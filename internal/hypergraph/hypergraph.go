@@ -21,7 +21,7 @@ package hypergraph
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"dualspace/internal/bitset"
@@ -69,6 +69,20 @@ func MustFromEdges(n int, edges [][]int) *Hypergraph {
 	h, err := FromEdges(n, edges)
 	if err != nil {
 		panic(err)
+	}
+	return h
+}
+
+// FromFlat builds a hypergraph over [0, n) whose edge i holds the vertices
+// ids[bounds[i]:bounds[i+1]] (bounds has one entry more than there are
+// edges), with the words of every edge in one slab. It panics if a vertex
+// is outside [0, n).
+func FromFlat(n int, ids, bounds []int32) *Hypergraph {
+	h := &Hypergraph{n: n, edges: bitset.NewBatch(n, len(bounds)-1)}
+	for i, e := range h.edges {
+		for _, v := range ids[bounds[i]:bounds[i+1]] {
+			e.Add(int(v))
+		}
 	}
 	return h
 }
@@ -447,40 +461,19 @@ func (h *Hypergraph) MinEdgeSize() int {
 // edges, ignoring order and multiplicity. Families over different universes
 // are never equal.
 func (h *Hypergraph) EqualAsFamily(g *Hypergraph) bool {
-	if h.n != g.n {
-		return false
-	}
-	return h.familyKey() == g.familyKey()
-}
-
-// familyKey returns a canonical string identifying the set of edges.
-func (h *Hypergraph) familyKey() string {
-	keys := make([]string, 0, len(h.edges))
-	seen := make(map[string]bool, len(h.edges))
-	for _, e := range h.edges {
-		k := e.Key()
-		if !seen[k] {
-			seen[k] = true
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "|")
+	return h.n == g.n && slices.EqualFunc(h.Canonical().edges, g.Canonical().edges, bitset.Set.Equal)
 }
 
 // Canonical returns a copy of h with duplicate edges removed and edges in
-// the canonical bitset order. Useful for stable output.
+// the canonical bitset order, all in one slab. Useful for stable output.
 func (h *Hypergraph) Canonical() *Hypergraph {
-	seen := make(map[string]bool, len(h.edges))
-	out := New(h.n)
-	for _, e := range h.edges {
-		k := e.Key()
-		if !seen[k] {
-			seen[k] = true
-			out.edges = append(out.edges, e.Clone())
-		}
+	sorted := slices.Clone(h.edges)
+	bitset.SortSets(sorted)
+	sorted = slices.CompactFunc(sorted, bitset.Set.Equal)
+	out := &Hypergraph{n: h.n, edges: bitset.NewBatch(h.n, len(sorted))}
+	for i, e := range out.edges {
+		e.CopyFrom(sorted[i])
 	}
-	bitset.SortSets(out.edges)
 	return out
 }
 

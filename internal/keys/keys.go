@@ -73,6 +73,9 @@ func (r *Relation) NumAttrs() int { return len(r.attrs) }
 // NumRows returns the number of tuples.
 func (r *Relation) NumRows() int { return len(r.rows) }
 
+// Attrs returns a copy of the attribute names, in index order.
+func (r *Relation) Attrs() []string { return append([]string(nil), r.attrs...) }
+
 // AttrName returns the name of attribute i.
 func (r *Relation) AttrName(i int) string { return r.attrs[i] }
 

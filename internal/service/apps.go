@@ -15,7 +15,6 @@ import (
 
 	"dualspace/internal/coterie"
 	"dualspace/internal/hgio"
-	"dualspace/internal/hypergraph"
 	"dualspace/internal/itemsets"
 )
 
@@ -42,7 +41,7 @@ func (s *Server) handleBorders(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	d, sy, err := hgio.ReadDatasetLimited(strings.NewReader(req.Data), s.cfg.Limits)
+	d, sy, err := hgio.ParseDataset(s.cfg.Limits, req.Data)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
@@ -101,10 +100,7 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	attrSym := hgio.NewSymbols()
-	for i := 0; i < rel.NumAttrs(); i++ {
-		attrSym.Intern(rel.AttrName(i))
-	}
+	attrSym := hgio.NewSymbols(rel.Attrs()...)
 	ctx, cancel, err := s.budgetCtx(r, s.cfg.AppsTimeout)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -128,25 +124,15 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	el, err := hgio.ParseEdgesLimited(strings.NewReader(req.Known), s.cfg.Limits)
+	hs, _, err := hgio.ParseHypergraphs(s.cfg.Limits, attrSym, req.Known)
+	if err == nil && attrSym.Len() > rel.NumAttrs() {
+		err = fmt.Errorf("unknown attribute %q in known keys", attrSym.Name(rel.NumAttrs()))
+	}
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	known := hypergraph.New(rel.NumAttrs())
-	for _, edge := range el {
-		idx := make([]int, len(edge))
-		for i, name := range edge {
-			j := rel.AttrIndex(name)
-			if j < 0 {
-				s.writeError(w, http.StatusBadRequest, fmt.Errorf("unknown attribute %q in known keys", name))
-				return
-			}
-			idx[i] = j
-		}
-		known.AddEdgeElems(idx...)
-	}
-	res, err := rel.AdditionalKeyWith(ctx, known, sess)
+	res, err := rel.AdditionalKeyWith(ctx, hs[0], sess)
 	if err != nil {
 		s.fail(w, r, ctx, err)
 		return
@@ -188,7 +174,7 @@ func (s *Server) handleCoteries(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	hs, sy, err := hgio.ReadHypergraphsLimited(s.cfg.Limits, strings.NewReader(req.Quorums))
+	hs, sy, err := hgio.ParseHypergraphs(s.cfg.Limits, nil, req.Quorums)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return

@@ -78,14 +78,14 @@ type rowMeta struct {
 }
 
 // parsedRow caches one distinct row text's parse outcome. Dedup-heavy
-// streams repeat rows byte for byte, and parsing an edge text costs ~20×
-// the canonicalize+fingerprint work the scheduler's own dedup needs — so
-// the handler dedups raw texts first (decideRequest is three strings,
-// comparable, and a valid map key) and duplicate rows skip straight to the
-// scheduler with the first occurrence's hypergraphs and symbols. Identical
-// text means identical interning, so the leader's symbol table renders
-// every duplicate's response correctly; parse and engine-name errors are
-// deterministic per text and replay from the cache the same way.
+// streams repeat rows byte for byte, so the handler dedups raw texts first
+// (decideRequest is three strings, comparable, and a valid map key): a
+// duplicate row skips parse, canonicalize and fingerprint, and goes
+// straight to the scheduler with the first occurrence's query and symbols.
+// Identical text means identical interning, so the leader's symbol table
+// renders every duplicate's response correctly; parse and engine-name
+// errors are deterministic per text and replay from the cache the same
+// way.
 type parsedRow struct {
 	q       batch.Query
 	sy      *hgio.Symbols

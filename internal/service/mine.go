@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"errors"
 	"net/http"
-	"strings"
 	"time"
 
 	"dualspace/internal/core"
@@ -82,7 +81,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	d, sy, err := hgio.ReadDatasetLimited(strings.NewReader(req.Data), s.cfg.Limits)
+	d, sy, err := hgio.ParseDataset(s.cfg.Limits, req.Data)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return

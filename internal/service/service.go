@@ -64,7 +64,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -790,8 +789,7 @@ func (s *Server) parseQuery(req decideRequest) (q batch.Query, sy *hgio.Symbols,
 	if q.Engine, err = engine.ByName(req.Engine); err != nil {
 		return q, nil, err
 	}
-	hs, sy, err := hgio.ReadHypergraphsLimited(s.cfg.Limits,
-		strings.NewReader(req.G), strings.NewReader(req.H))
+	hs, sy, err := hgio.ParseHypergraphs(s.cfg.Limits, nil, req.G, req.H)
 	q.Parse = time.Since(t0)
 	if err != nil {
 		return q, nil, err

@@ -10,7 +10,6 @@ package service
 import (
 	"encoding/json"
 	"net/http"
-	"strings"
 	"time"
 
 	"dualspace/internal/bitset"
@@ -65,7 +64,7 @@ func (s *Server) handleTransversals(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	hs, sy, err := hgio.ReadHypergraphsLimited(s.cfg.Limits, strings.NewReader(req.H))
+	hs, sy, err := hgio.ParseHypergraphs(s.cfg.Limits, nil, req.H)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
