@@ -71,7 +71,7 @@ func main() {
 				return nil
 			}
 		}
-		b, err = itemsets.ComputeBordersStreamWith(context.Background(), d, *z, engine.Default(), onFound)
+		b, err = itemsets.ComputeBordersStreamWith(context.Background(), d, *z, engine.NewSession(nil), onFound)
 	case "apriori":
 		b, err = itemsets.BordersApriori(d, *z)
 	default:

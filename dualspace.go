@@ -259,16 +259,9 @@ func ArmstrongRelation(k *Hypergraph, attrs []string) (*Relation, error) {
 // ok = false when none exists (tr(g) ⊆ h). This is the witness operation
 // the incremental border/key algorithms are built on; the result is not
 // necessarily minimal (see MinimalizeTransversal). It runs the raw tree
-// stage of the default engine.
+// stage, the decomposition's serial walk.
 func NewTransversal(g, h *Hypergraph) (w Set, ok bool, err error) {
-	res, err := engine.TrSubset(context.Background(), engine.Default(), g, h)
-	if err != nil {
-		return Set{}, false, err
-	}
-	if res.Dual {
-		return Set{}, false, nil
-	}
-	return res.Witness, true, nil
+	return core.NewTransversal(g, h)
 }
 
 // MinimalizeTransversal shrinks a transversal of h to a minimal one.

@@ -33,7 +33,7 @@ var Analyzer = &analysis.Analyzer{
 // decisionMethods are the unbounded-work calls that must run lock-free.
 var decisionMethods = map[string]bool{
 	"Decide": true, "DecideContext": true, "DecideWith": true,
-	"DecideParallel": true, "DecideParallelContext": true,
+	"DecideParallel": true, "DecideSearch": true,
 	"TrSubset": true, "TrSubsetContext": true,
 }
 

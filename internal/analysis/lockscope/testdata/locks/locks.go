@@ -7,6 +7,7 @@ import (
 	"context"
 	"sync"
 
+	"dualspace/internal/core"
 	"dualspace/internal/engine"
 	"dualspace/internal/hypergraph"
 )
@@ -27,6 +28,20 @@ func decideUnderDeferredLock(ctx context.Context, s *cacheShard, eng engine.Engi
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, err := eng.Decide(ctx, g, h) // want `Engine.Decide called while holding s.mu`
+	return err
+}
+
+func searchUnderLock(ctx context.Context, s *cacheShard, d *core.Decider, g, h *hypergraph.Hypergraph, search core.TreeSearch) error {
+	s.mu.Lock()
+	_, err := d.DecideSearch(ctx, g, h, search) // want `Decider.DecideSearch called while holding s.mu`
+	s.mu.Unlock()
+	return err
+}
+
+func parallelUnderLock(ctx context.Context, s *cacheShard, d *core.Decider, g, h *hypergraph.Hypergraph) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, err := d.DecideParallel(ctx, g, h, 2) // want `Decider.DecideParallel called while holding s.mu`
 	return err
 }
 

@@ -227,7 +227,7 @@ func TestBatchRenamedIsomorphicDedup(t *testing.T) {
 		if r.Err != nil || r.Res == nil || !r.Res.Dual {
 			t.Fatalf("second batch item %d: %+v", i, r)
 		}
-		if !r.CacheHit && !r.Deduped {
+		if r.Source == SourceComputed && !r.Deduped {
 			t.Errorf("second batch item %d served neither by cache nor dedup", i)
 		}
 	}

@@ -60,7 +60,7 @@ func TestSchedulerFillHook(t *testing.T) {
 		if resp.Err != nil {
 			t.Errorf("row %d: %v", resp.Index, resp.Err)
 		}
-		if resp.CacheHit {
+		if resp.Source != SourceComputed {
 			cachedRows++
 		}
 	})

@@ -66,17 +66,16 @@ type Request struct {
 // Response is the outcome of one Request. Res is detached and immutable
 // (shared between all duplicates of the instance); G and H are the
 // canonical forms its edge indices refer to. Exactly one of Res/Err is
-// non-nil. Source is where the entry's verdict came from; CacheHit marks
-// verdicts no engine ran for here (any Source but SourceComputed); Deduped
-// marks responses that coalesced onto another request of the same batch.
+// non-nil. Source is where the entry's verdict came from (any Source but
+// SourceComputed: no engine ran for it here); Deduped marks responses that
+// coalesced onto another request of the same batch.
 type Response struct {
-	Index    int
-	G, H     *hypergraph.Hypergraph
-	Res      *core.Result
-	Err      error
-	Source   Source
-	CacheHit bool
-	Deduped  bool
+	Index   int
+	G, H    *hypergraph.Hypergraph
+	Res     *core.Result
+	Err     error
+	Source  Source
+	Deduped bool
 	// Meta echoes the request's Meta field.
 	Meta any
 }
@@ -240,7 +239,7 @@ func (s *Scheduler) RunN(ctx context.Context, parallelism int, reqs <-chan Reque
 		send(Response{
 			Index: req.Index, G: e.q.G, H: e.q.H,
 			Res: e.res, Err: e.err,
-			Source: e.src, CacheHit: e.src != SourceComputed, Deduped: deduped,
+			Source: e.src, Deduped: deduped,
 			Meta: req.Meta,
 		})
 	}

@@ -22,12 +22,12 @@ func TestDecideContextPreCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("DecideContext(cancelled) = %v, %v; want context.Canceled", res, err)
 	}
-	res, err = core.DecideParallelContext(ctx, g, h, 2)
+	res, err = core.NewDecider().DecideParallel(ctx, g, h, 2)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("DecideParallelContext(cancelled) = %v, %v; want context.Canceled", res, err)
+		t.Fatalf("Decider.DecideParallel(cancelled) = %v, %v; want context.Canceled", res, err)
 	}
-	if _, _, err := core.NewTransversalContext(ctx, g, h); !errors.Is(err, context.Canceled) {
-		t.Fatalf("NewTransversalContext(cancelled) err = %v; want context.Canceled", err)
+	if _, _, err := core.NewDecider().NewTransversal(ctx, g, h); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Decider.NewTransversal(cancelled) err = %v; want context.Canceled", err)
 	}
 }
 
@@ -93,7 +93,7 @@ func TestDecideContextCancelMidWalk(t *testing.T) {
 
 func TestDecideParallelContextCancelMidWalk(t *testing.T) {
 	cancelMidWalk(t, func(ctx context.Context, g, h *hypergraph.Hypergraph) error {
-		_, err := core.DecideParallelContext(ctx, g, h, 4)
+		_, err := core.NewDecider().DecideParallel(ctx, g, h, 4)
 		return err
 	})
 }
@@ -105,7 +105,7 @@ func TestDecideParallelContextKeepsEarlyVerdict(t *testing.T) {
 	h := gen.DropEdge(gen.MatchingDual(3), 0) // non-dual: a witness exists
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res, err := core.DecideParallelContext(ctx, g, h, 2)
+	res, err := core.NewDecider().DecideParallel(ctx, g, h, 2)
 	if err != nil || res.Dual {
 		t.Fatalf("expected non-dual verdict, got %v, %v", res, err)
 	}

@@ -172,6 +172,7 @@ func Classify(g, h *hypergraph.Hypergraph, s bitset.Set) *NodeInfo {
 // one-shot form synchronizes the incremental scratch to s before
 // classifying; tree walks maintain it by diffs instead.
 func classifyWith(sc *scratch, fr *frame, s bitset.Set) *NodeInfo {
+	sc.size()
 	sc.syncTo(s)
 	v := sc.classifyNode(s, fr)
 
@@ -353,18 +354,20 @@ func isConstant(x *hypergraph.Hypergraph) (bottom, top bool) {
 }
 
 // precheckIntoIdx runs the logspace-checkable stages of Decide — validation,
-// constants, cross-intersection, and both minimality preconditions — writing
-// any verdict they alone determine into res (which the caller must have
-// initialized with GEdge/HEdge/RedundantVertex = -1). done reports that res
-// now holds the final verdict; done = false means the pair is simple,
-// non-constant, cross-intersecting and mutually minimal, so only the tree
-// stage remains.
+// constants, cross-intersection, and (when minimality is set) both
+// minimality preconditions — writing any verdict they alone determine into
+// res (which the caller must have initialized with GEdge/HEdge/
+// RedundantVertex = -1). done reports that res now holds the final verdict;
+// done = false means the pair is simple, non-constant, cross-intersecting
+// and, with minimality, mutually minimal, so only the tree stage remains.
+// Without minimality it is exactly TrSubset's input check, which the
+// incremental applications of §1 need mid-iteration.
 //
 // Every probe is index-driven (hypergraph/indexed.go): gi/hi are the
 // incidence indexes of g and h, and gScratch/hScratch are caller-owned sets
 // over their respective OccUniverses — so the done = false path allocates
 // nothing, which is what lets a Decider stay allocation-free across calls.
-func precheckIntoIdx(g, h *hypergraph.Hypergraph, gi, hi *hypergraph.Index, gScratch, hScratch bitset.Set, res *Result) (bool, error) {
+func precheckIntoIdx(g, h *hypergraph.Hypergraph, gi, hi *hypergraph.Index, gScratch, hScratch bitset.Set, minimality bool, res *Result) (bool, error) {
 	if g.N() != h.N() {
 		return false, ErrUniverseMismatch
 	}
@@ -391,6 +394,9 @@ func precheckIntoIdx(g, h *hypergraph.Hypergraph, gi, hi *hypergraph.Index, gScr
 		res.Reason, res.GEdge, res.HEdge = ReasonNotCrossIntersecting, gIdx, hIdx
 		return true, nil
 	}
+	if !minimality {
+		return false, nil
+	}
 	// Precondition: H ⊆ tr(G). Cross-intersection already makes every
 	// h-edge a transversal of g, so only minimality can fail.
 	if v := h.AllEdgesMinimalTransversalsOfIdx(g, gi, gScratch); v != nil {
@@ -403,35 +409,6 @@ func precheckIntoIdx(g, h *hypergraph.Hypergraph, gi, hi *hypergraph.Index, gScr
 		return true, nil
 	}
 	return false, nil
-}
-
-// indexFor returns x's attached index when one is maintained, else builds a
-// standalone one — the entry path for the package-level (non-Decider)
-// decision functions and the parallel search.
-func indexFor(x *hypergraph.Hypergraph) *hypergraph.Index {
-	if ix := x.AttachedIndex(); ix != nil {
-		return ix
-	}
-	return hypergraph.NewIndex(x)
-}
-
-// Precheck exposes the precondition stage of Decide to alternative decision
-// procedures (internal/engine's Fredman–Khachiyan and logspace adapters run
-// it before their own tree stage, so every engine classifies precondition
-// failures with the same Reason taxonomy). It returns the verdict and
-// done = true when the preconditions alone decide the instance, or
-// (nil, false, nil) when the tree stage is still needed — in which case the
-// pair is guaranteed simple, non-constant, cross-intersecting and mutually
-// minimal.
-func Precheck(g, h *hypergraph.Hypergraph) (*Result, bool, error) {
-	res := &Result{GEdge: -1, HEdge: -1, RedundantVertex: -1}
-	gi, hi := indexFor(g), indexFor(h)
-	done, err := precheckIntoIdx(g, h, gi, hi,
-		bitset.New(gi.OccUniverse()), bitset.New(hi.OccUniverse()), res)
-	if err != nil || !done {
-		return nil, false, err
-	}
-	return res, true, nil
 }
 
 // Decide determines whether h = tr(g) — equivalently, whether the monotone
@@ -454,39 +431,7 @@ func Decide(g, h *hypergraph.Hypergraph) (*Result, error) {
 // fast); a context that is already cancelled on entry aborts before the
 // first tree node.
 func DecideContext(ctx context.Context, g, h *hypergraph.Hypergraph) (*Result, error) {
-	res := &Result{GEdge: -1, HEdge: -1, RedundantVertex: -1}
-	// One walker serves the whole decision: its scratch carries the
-	// incidence indexes the precheck probes and the tree stage share.
-	w := newWalkState(g, h)
-	done, err := precheckIntoIdx(g, h, w.sc.gIdx, w.sc.hIdx, w.sc.hitG, w.sc.notCont, res)
-	if err != nil {
-		return nil, err
-	}
-	if done {
-		return res, nil
-	}
-
-	// Tree stage. Honor the paper's |H| ≤ |G| convention by swapping when
-	// beneficial; duality is symmetric once the preconditions hold, and a
-	// witness for one orientation complements to one for the other.
-	swapped := false
-	if h.M() > g.M() {
-		w.sc.swap()
-		swapped = true
-	}
-	res.Dual = true
-	w.done = ctx.Done()
-	root := bitset.Full(g.N())
-	w.sc.syncTo(root)
-	serialWalk(w, root, 0, res)
-	if w.cancelled {
-		return nil, ctx.Err()
-	}
-	res.Swapped = swapped
-	if !res.Dual && swapped {
-		res.Witness, res.CoWitness = res.CoWitness, res.Witness
-	}
-	return res, nil
+	return Detach(NewDecider().DecideContext(ctx, g, h))
 }
 
 // TrSubset decides tr(g) ⊆ h ("h contains every minimal transversal of g")
@@ -507,41 +452,20 @@ func TrSubset(g, h *hypergraph.Hypergraph) (*Result, error) {
 // contract as DecideContext: a cancelled ctx aborts the DFS within one tree
 // node and surfaces ctx's error.
 func TrSubsetContext(ctx context.Context, g, h *hypergraph.Hypergraph) (*Result, error) {
-	w := newWalkState(g, h)
-	if err := trSubsetPreflight(g, h, w.sc); err != nil {
-		return nil, err
-	}
-	res := &Result{Dual: true, GEdge: -1, HEdge: -1, RedundantVertex: -1}
-	w.done = ctx.Done()
-	root := bitset.Full(g.N())
-	w.sc.syncTo(root)
-	serialWalk(w, root, 0, res)
-	if w.cancelled {
-		return nil, ctx.Err()
-	}
-	return res, nil
+	return Detach(NewDecider().TrSubsetContext(ctx, g, h))
 }
 
-// trSubsetPreflight checks TrSubset's input contract (simple, non-constant,
-// cross-intersecting) on the scratch's indexes, allocation-free for a
-// pinned Decider.
-func trSubsetPreflight(g, h *hypergraph.Hypergraph, sc *scratch) error {
-	if g.N() != h.N() {
-		return ErrUniverseMismatch
+// Detach returns the verdict of a Decider built for this one call, copying
+// only the Result struct so that the verdict no longer pins the Decider. The
+// witness and fail-path buffers are handed over as they are: nothing else
+// can reach a one-shot Decider's storage, so the result aliases nothing.
+// Verdicts of a pinned (reused) Decider must be Cloned instead.
+func Detach(res *Result, err error) (*Result, error) {
+	if err != nil {
+		return nil, err
 	}
-	if err := g.ValidateSimpleIdx(sc.gIdx, sc.hitG); err != nil {
-		return fmt.Errorf("core: g: %w", err)
-	}
-	if err := h.ValidateSimpleIdx(sc.hIdx, sc.notCont); err != nil {
-		return fmt.Errorf("core: h: %w", err)
-	}
-	if g.M() == 0 || h.M() == 0 || g.HasEmptyEdge() || h.HasEmptyEdge() {
-		return errors.New("core: TrSubset requires non-constant inputs; use Decide")
-	}
-	if ok, _, _ := g.CrossIntersectingIdx(h, sc.hIdx, sc.notCont); !ok {
-		return errors.New("core: TrSubset requires a cross-intersecting pair")
-	}
-	return nil
+	r := *res
+	return &r, nil
 }
 
 // serialWalk is the serial DFS over T(g,h) on one walkState: one scratch
@@ -577,18 +501,7 @@ func serialWalk(w *walkState, s bitset.Set, depth int, res *Result) bool {
 	if v.mark != MarkNil {
 		res.Stats.Leaves++
 		if v.mark == MarkFail {
-			res.Dual = false
-			res.Reason = ReasonNewTransversal
-			if w.reuse {
-				w.witBuf.CopyFrom(w.sc.wit)
-				w.sc.wit.ComplementInto(w.cowitBuf)
-				w.pathBuf = append(w.pathBuf[:0], w.path[:depth]...)
-				res.Witness, res.CoWitness, res.FailPath = w.witBuf, w.cowitBuf, w.pathBuf
-			} else {
-				res.Witness = w.sc.wit.Clone()
-				res.CoWitness = res.Witness.Complement()
-				res.FailPath = append([]int(nil), w.path[:depth]...)
-			}
+			w.recordFail(res, w.sc.wit, w.path[:depth])
 			return false // stop the search
 		}
 		return true
@@ -643,20 +556,7 @@ func serialWalk(w *walkState, s bitset.Set, depth int, res *Result) bool {
 // built on. The witness is generally not minimal; use
 // (*hypergraph.Hypergraph).MinimalizeTransversal to shrink it.
 func NewTransversal(g, h *hypergraph.Hypergraph) (w bitset.Set, ok bool, err error) {
-	return NewTransversalContext(context.Background(), g, h)
-}
-
-// NewTransversalContext is NewTransversal with cancellation (see
-// TrSubsetContext).
-func NewTransversalContext(ctx context.Context, g, h *hypergraph.Hypergraph) (w bitset.Set, ok bool, err error) {
-	res, err := TrSubsetContext(ctx, g, h)
-	if err != nil {
-		return bitset.Set{}, false, err
-	}
-	if res.Dual {
-		return bitset.Set{}, false, nil
-	}
-	return res.Witness, true, nil
+	return NewDecider().NewTransversal(context.Background(), g, h)
 }
 
 // TreeNode is a fully materialized node of T(G,H), used by experiments and

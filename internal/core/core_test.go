@@ -337,6 +337,39 @@ func TestNewTransversalOracle(t *testing.T) {
 	}
 }
 
+func TestNewTransversalDegenerateShapes(t *testing.T) {
+	// The shapes the tree stage excludes (constant g, empty h, ∅ ∈ h) are
+	// answered directly, so no caller has to special-case them first.
+	bottom := hypergraph.New(3)
+	top := hypergraph.MustFromEdges(3, [][]int{{}})
+	g := hypergraph.MustFromEdges(3, [][]int{{0, 1}, {1, 2}})
+	h := hypergraph.MustFromEdges(3, [][]int{{0}})
+	for _, c := range []struct {
+		name   string
+		g, h   *hypergraph.Hypergraph
+		wantOK bool
+	}{
+		{"g=⊥ h={{0}}", bottom, h, true}, // tr(⊥) = {∅}, and ∅ ∉ h
+		{"g=⊥ h=⊥", bottom, bottom, true},
+		{"g=⊥ h=⊤", bottom, top, false},
+		{"g=⊤ h={{0}}", top, h, false}, // tr(⊤) = ∅
+		{"g=⊤ h=⊥", top, bottom, false},
+		{"h=⊥", g, bottom, true},
+		{"h=⊤", g, top, false},
+	} {
+		w, ok, err := core.NewTransversal(c.g, c.h)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if ok != c.wantOK {
+			t.Fatalf("%s: ok = %v, want %v", c.name, ok, c.wantOK)
+		}
+		if ok && !c.g.IsNewTransversal(w, c.h) {
+			t.Fatalf("%s: %v is not a new transversal", c.name, w)
+		}
+	}
+}
+
 func TestSwappedWitnessOrientation(t *testing.T) {
 	// Force a swap (|h| > |g|) on a non-dual pair and check witness
 	// orientation survives the swap.

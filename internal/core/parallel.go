@@ -60,76 +60,11 @@ func ParallelSearchTotals() (spawns, steals, idleParks int64) {
 	return totalSpawns.Load(), totalSteals.Load(), totalIdleParks.Load()
 }
 
-// ParallelOptions parameterizes DecideParallelOpts.
-type ParallelOptions struct {
-	// Workers bounds the worker pool (0 means GOMAXPROCS).
-	Workers int
-	// Rec, when non-nil, receives stage timings: precheck, index build,
-	// walk wall time net of steal re-synchronization, and the cumulative
-	// steal re-synchronization time under obs.StageWalkSteals. Unlike the
-	// serial stages, walk and walk_steals aggregate across workers, so on
-	// multi-core runs their sum can exceed the walk's wall clock.
-	Rec *obs.Recorder
-}
-
 // DecideParallel is Decide with the tree stage searched by a work-stealing
-// pool of `workers` goroutines (0 means GOMAXPROCS). Verdict and Reason
-// agree with Decide; Witness/FailPath may name a different (equally valid)
-// fail leaf, and Stats.Nodes counts the nodes actually visited before
-// cancellation.
+// pool of `workers` goroutines (0 means GOMAXPROCS); see
+// Decider.DecideParallel for the verdict and cancellation contract.
 func DecideParallel(g, h *hypergraph.Hypergraph, workers int) (*Result, error) {
-	return DecideParallelContext(context.Background(), g, h, workers)
-}
-
-// DecideParallelContext is DecideParallel with cancellation: every worker
-// polls ctx at every node it visits, so a cancelled ctx drains the search
-// within one tree-node boundary per worker. If a fail leaf was recorded
-// before the cancellation won the race, the (valid) non-dual verdict is
-// returned instead of the context error.
-func DecideParallelContext(ctx context.Context, g, h *hypergraph.Hypergraph, workers int) (*Result, error) {
-	return DecideParallelOpts(ctx, g, h, ParallelOptions{Workers: workers})
-}
-
-// DecideParallelOpts is DecideParallelContext with options (worker bound,
-// stage recorder).
-func DecideParallelOpts(ctx context.Context, g, h *hypergraph.Hypergraph, opt ParallelOptions) (*Result, error) {
-	pres := &Result{GEdge: -1, HEdge: -1, RedundantVertex: -1}
-	t0 := time.Time{}
-	if opt.Rec != nil {
-		t0 = time.Now()
-	}
-	gi, hi := indexFor(g), indexFor(h)
-	if opt.Rec != nil {
-		opt.Rec.Add(obs.StageIndexSync, time.Since(t0))
-		t0 = time.Now()
-	}
-	done, err := precheckIntoIdx(g, h, gi, hi,
-		bitset.New(gi.OccUniverse()), bitset.New(hi.OccUniverse()), pres)
-	if opt.Rec != nil {
-		opt.Rec.Add(obs.StagePrecheck, time.Since(t0))
-	}
-	if err != nil {
-		return nil, err
-	}
-	if done {
-		return pres, nil
-	}
-
-	a, b, swapped := g, h, false
-	ai, bi := gi, hi
-	if h.M() > g.M() {
-		a, b, swapped = h, g, true
-		ai, bi = hi, gi
-	}
-	res := trSubsetParallel(ctx, a, b, ai, bi, opt.Workers, opt.Rec)
-	if res == nil {
-		return nil, ctx.Err()
-	}
-	res.Swapped = swapped
-	if !res.Dual && swapped {
-		res.Witness, res.CoWitness = res.CoWitness, res.Witness
-	}
-	return res, nil
+	return Detach(NewDecider().DecideParallel(context.Background(), g, h, workers))
 }
 
 // stealSearch is the recyclable state of one work-stealing search run.
@@ -190,7 +125,7 @@ func acquireStealSearch(ctx context.Context, g, h *hypergraph.Hypergraph, gi, hi
 	} else {
 		p = &stealSearch{}
 		p.states.New = func() any {
-			return &walkState{sc: &scratch{dedup: make(map[uint64]int32)}}
+			return &walkState{sc: &scratch{}}
 		}
 	}
 	p.g, p.h, p.gi, p.hi = g, h, gi, hi
@@ -229,24 +164,31 @@ func acquireStealSearch(ctx context.Context, g, h *hypergraph.Hypergraph, gi, hi
 	return p
 }
 
-// trSubsetParallel runs the work-stealing tree search; it returns nil when
-// ctx was cancelled before any fail leaf was recorded (the caller surfaces
-// ctx.Err()). gi and hi are the read-only incidence indexes of g and h,
-// shared by every worker's scratch.
-func trSubsetParallel(ctx context.Context, g, h *hypergraph.Hypergraph, gi, hi *hypergraph.Index, workers int, rec *obs.Recorder) *Result {
+// trSubsetParallel runs the work-stealing tree search from root (the full
+// vertex set) over the pinned walker's current orientation and writes its verdict and statistics into
+// res (a fail leaf through st.recordFail, on st's pinned storage). It returns
+// false when ctx was cancelled before any fail leaf was recorded (the
+// caller surfaces ctx.Err()). The walker's incidence indexes are shared
+// read-only by every worker's scratch. With rec attached it records the walk
+// wall time net of steal re-synchronization under obs.StageWalk and the
+// cumulative steal re-synchronization time under obs.StageWalkSteals; both
+// aggregate across workers, so on multi-core runs their sum can exceed the
+// walk's wall clock.
+func trSubsetParallel(ctx context.Context, st *walkState, root bitset.Set, workers int, rec *obs.Recorder, res *Result) bool {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := acquireStealSearch(ctx, g, h, gi, hi, workers, rec)
+	p := acquireStealSearch(ctx, st.sc.g, st.sc.h, st.sc.gIdx, st.sc.hIdx, workers, rec)
 
-	// Publish the root as the one initial frame; worker 0 finds it in its
-	// own deque, everyone else races to steal it or parks.
-	root := p.newFrame()
-	root.s.CopyFrom(bitset.Full(g.N()))
-	root.path = root.path[:0]
-	root.tag = 0
+	// Publish the root (the full vertex set) as the one initial frame;
+	// worker 0 finds it in its own deque, everyone else races to steal it or
+	// parks.
+	f := p.newFrame()
+	f.s.CopyFrom(root)
+	f.path = f.path[:0]
+	f.tag = 0
 	p.outstanding.Store(1)
-	p.deques[0].push(root)
+	p.deques[0].push(f)
 
 	t0 := time.Time{}
 	if rec != nil {
@@ -268,7 +210,6 @@ func trSubsetParallel(ctx context.Context, g, h *hypergraph.Hypergraph, gi, hi *
 		rec.Add(obs.StageWalkSteals, stealNs)
 	}
 
-	res := &Result{Dual: true, GEdge: -1, HEdge: -1, RedundantVertex: -1}
 	res.Stats = Stats{
 		Nodes:       int(p.nodes.Load()),
 		Leaves:      int(p.leaves.Load()),
@@ -302,17 +243,10 @@ func trSubsetParallel(ctx context.Context, g, h *hypergraph.Hypergraph, gi, hi *
 	searchPool.Put(p)
 
 	if failSet {
-		res.Dual = false
-		res.Reason = ReasonNewTransversal
-		res.Witness = failT
-		res.CoWitness = failT.Complement()
-		res.FailPath = failPath
-		return res
+		st.recordFail(res, failT, failPath)
+		return true
 	}
-	if drained {
-		return nil // cancelled with no verdict reached
-	}
-	return res
+	return !drained // drained: cancelled with no verdict reached
 }
 
 // newFrame takes a frame off the free list (or allocates one) and fits its
@@ -393,6 +327,7 @@ func (w *stealWorker) run() {
 	defer p.wg.Done()
 	st := p.states.Get().(*walkState)
 	st.sc.bindShared(p.g, p.h, p.gi, p.hi)
+	st.sc.size()
 	for {
 		f, stolen := w.next()
 		if f == nil {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -166,10 +167,13 @@ func TestParallelConcurrentDecides(t *testing.T) {
 func TestParallelSteadyStateAllocBudget(t *testing.T) {
 	// The search object, frames, and worker states are pooled, so a warm
 	// parallel decision should allocate only its per-run fixtures: three
-	// channels, the worker goroutines, and the Result. A literal zero is
-	// not achievable (channels are per-run by design — a closed channel
-	// cannot be reused), so this guards a small constant budget instead,
-	// independent of tree size (majority-7 walks ~2k nodes).
+	// channels, the worker goroutines, and — on the stateless call — the
+	// one-shot Decider's indexes and the Result. A literal zero is not
+	// achievable (channels are per-run by design — a closed channel cannot
+	// be reused), so this guards small constant budgets instead, independent
+	// of tree size (majority-7 walks ~2k nodes): one for the stateless
+	// core.DecideParallel and a tighter one for a pinned Decider, which
+	// keeps the indexes and witness storage across calls.
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; budget holds only on plain builds")
 	}
@@ -186,6 +190,22 @@ func TestParallelSteadyStateAllocBudget(t *testing.T) {
 	const budget = 48
 	if allocs > budget {
 		t.Errorf("steady-state parallel decide allocated %.1f/op, budget %d", allocs, budget)
+	}
+
+	d := core.NewDecider()
+	ctx := context.Background()
+	if _, err := d.DecideParallel(ctx, m, m, 4); err != nil {
+		t.Fatal(err)
+	}
+	allocs = testing.AllocsPerRun(20, func() {
+		res, err := d.DecideParallel(ctx, m, m, 4)
+		if err != nil || !res.Dual {
+			t.Fatal("wrong verdict")
+		}
+	})
+	const pinnedBudget = 16
+	if allocs > pinnedBudget {
+		t.Errorf("steady-state pinned parallel decide allocated %.1f/op, budget %d", allocs, pinnedBudget)
 	}
 }
 

@@ -89,18 +89,33 @@ type walkState struct {
 	// the serial DFS polls it at every node and sets cancelled on abort.
 	done      <-chan struct{}
 	cancelled bool
-	// reuse, set by a Decider on its pinned walker, makes serialWalk capture
-	// fail verdicts into witBuf/cowitBuf/pathBuf instead of fresh clones, so
+	// witBuf, cowitBuf and pathBuf hold the fail verdict of a Decider's
+	// pinned walker (recordFail, which sizes them on the first fail), so
 	// repeated decisions on one walker allocate nothing at steady state. The
-	// resulting Result aliases these buffers and is valid only until the
-	// walker's next run.
-	reuse            bool
+	// Result aliases them and is valid only until the walker's next run. The
+	// parallel search's pooled worker states leave them unset: their fail
+	// leaves are recorded centrally.
 	witBuf, cowitBuf bitset.Set
 	pathBuf          []int
 }
 
 func newWalkState(g, h *hypergraph.Hypergraph) *walkState {
 	return &walkState{sc: newScratch(g, h)}
+}
+
+// recordFail writes a fail leaf's verdict into res: the witness t(α), its
+// complement (a new transversal of h w.r.t. g), and the leaf's path
+// descriptor, all copied into the walker's pinned storage.
+func (w *walkState) recordFail(res *Result, wit bitset.Set, path []int) {
+	if n := wit.Universe(); w.witBuf.Universe() != n {
+		w.witBuf, w.cowitBuf = bitset.New(n), bitset.New(n)
+	}
+	res.Dual = false
+	res.Reason = ReasonNewTransversal
+	w.witBuf.CopyFrom(wit)
+	wit.ComplementInto(w.cowitBuf)
+	w.pathBuf = append(w.pathBuf[:0], path...)
+	res.Witness, res.CoWitness, res.FailPath = w.witBuf, w.cowitBuf, w.pathBuf
 }
 
 func (w *walkState) frame(depth int) *frame {
@@ -158,7 +173,7 @@ type scratch struct {
 }
 
 func newScratch(g, h *hypergraph.Hypergraph) *scratch {
-	sc := &scratch{dedup: make(map[uint64]int32)}
+	sc := &scratch{}
 	sc.bind(g, h)
 	return sc
 }
@@ -225,19 +240,20 @@ func (sc *scratch) ownIndex(slot **hypergraph.Index, x *hypergraph.Hypergraph) *
 }
 
 // bindShared is bind with caller-provided (shared, read-only) indexes — the
-// parallel search builds one index pair and hands it to every worker state.
+// parallel search hands a Decider's index pair to every worker state. It
+// fits only the precheck's probe sets (hitG, notCont); the walk state is
+// fitted by size at the root of a tree stage, so a decision the precheck
+// settles (or an FK recursion) never allocates it.
 func (sc *scratch) bindShared(g, h *hypergraph.Hypergraph, gi, hi *hypergraph.Index) {
 	sc.g, sc.h = g, h
 	sc.gIdx, sc.hIdx = gi, hi
-	if n := g.N(); sc.n != n || sc.iSet.Universe() != n {
-		sc.n = n
-		sc.iSet = bitset.New(n)
-		sc.gProj = bitset.New(n)
-		sc.tmp = bitset.New(n)
-		sc.wit = bitset.New(n)
-		sc.degH = make([]int32, n)
+	sc.n = g.N()
+	if u := gi.OccUniverse(); sc.hitG.Universe() != u {
+		sc.hitG = bitset.New(u)
 	}
-	sc.size()
+	if u := hi.OccUniverse(); sc.notCont.Universe() != u {
+		sc.notCont = bitset.New(u)
+	}
 }
 
 // swap flips the scratch's orientation from (g, h) to (h, g) without
@@ -246,12 +262,22 @@ func (sc *scratch) bindShared(g, h *hypergraph.Hypergraph, gi, hi *hypergraph.In
 func (sc *scratch) swap() {
 	sc.g, sc.h = sc.h, sc.g
 	sc.gIdx, sc.hIdx = sc.hIdx, sc.gIdx
-	sc.size()
 }
 
-// size fits the per-edge state and the edge-universe scratch sets to the
-// current (g, h) and their indexes.
+// size fits the walk state — the per-vertex sets and counts, the per-edge
+// state and the edge-universe scratch sets — to the current orientation of
+// (g, h) and their indexes; every walk root calls it before syncTo.
 func (sc *scratch) size() {
+	if n := sc.n; sc.iSet.Universe() != n {
+		sc.iSet = bitset.New(n)
+		sc.gProj = bitset.New(n)
+		sc.tmp = bitset.New(n)
+		sc.wit = bitset.New(n)
+		sc.degH = make([]int32, n)
+	}
+	if sc.dedup == nil {
+		sc.dedup = make(map[uint64]int32)
+	}
 	mg, mh := sc.g.M(), sc.h.M()
 	if cap(sc.cntG) < mg {
 		sc.cntG = make([]int32, mg)
@@ -261,11 +287,11 @@ func (sc *scratch) size() {
 		sc.missH = make([]int32, mh)
 	}
 	sc.missH = sc.missH[:mh]
-	if u := sc.gIdx.OccUniverse(); sc.hitG.Universe() != u {
+	if u := sc.gIdx.OccUniverse(); sc.candG.Universe() != u || sc.hitG.Universe() != u {
 		sc.hitG = bitset.New(u)
 		sc.candG = bitset.New(u)
 	}
-	if u := sc.hIdx.OccUniverse(); sc.hsSet.Universe() != u {
+	if u := sc.hIdx.OccUniverse(); sc.hsSet.Universe() != u || sc.notCont.Universe() != u {
 		sc.hsSet = bitset.New(u)
 		sc.notCont = bitset.New(u)
 		sc.contained = bitset.New(u)

@@ -9,14 +9,18 @@
 //
 // Every engine answers the same question with the same Result vocabulary:
 // Decide(ctx, g, h) reports whether h = tr(g), classifying negative verdicts
-// with core's Reason taxonomy. The adapters for procedures that lack core's
-// precondition stage (FK, logspace) run core.Precheck first, so constants,
-// cross-intersection failures and minimality violations are reported
-// identically by every engine; only the tree/recursion stage differs. For
-// the FK algorithms the recursion witness x (an assignment with
-// f_g(x) = f_h(V∖x)) is converted to the paper's witness form: once the
-// preconditions hold only both-false witnesses are possible, and then V∖x is
-// a new transversal of g with respect to h.
+// with core's Reason taxonomy. Each built-in engine is written once against
+// a core.Decider, which runs the paper's protocol (precheck, orient, tree
+// stage, unswap) exactly once in internal/core: the serial and parallel
+// decompositions and the logspace replay walker are tree stages of that
+// protocol, and the Fredman–Khachiyan adapter runs the Decider's precheck
+// before its own unoriented recursion. So constants, cross-intersection
+// failures and minimality violations are reported identically by every
+// engine; only the tree/recursion stage differs. For the FK algorithms the
+// recursion witness x (an assignment with f_g(x) = f_h(V∖x)) is converted
+// to the paper's witness form: once the preconditions hold only both-false
+// witnesses are possible, and then V∖x is a new transversal of g with
+// respect to h.
 //
 // Call sites choose an engine by value (ByName, NewPortfolio, NewCoreParallel)
 // or take the Default portfolio; no package outside this one constructs a
@@ -43,12 +47,6 @@ type Caps struct {
 	// FailPath: non-dual verdicts carry a decomposition-tree fail-path
 	// descriptor (the O(log²n)-bit certificate of Theorem 5.1).
 	FailPath bool
-	// TrSubset: the engine also decides the raw tree question tr(g) ⊆ h
-	// without the minimality preconditions (it implements TrSubsetter).
-	TrSubset bool
-	// Reusable: a Session can pin this engine's scratch for allocation-free
-	// repeated decisions.
-	Reusable bool
 }
 
 // Engine is a duality decision procedure. Implementations are stateless and
@@ -63,154 +61,94 @@ type Engine interface {
 	Decide(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error)
 }
 
-// TrSubsetter is the optional raw tree-stage capability: deciding
-// tr(g) ⊆ h for a simple, cross-intersecting, non-constant pair without
-// requiring minimality (the mid-iteration form the incremental applications
-// of §1 of the paper need). Engines advertise it via Caps.TrSubset.
-type TrSubsetter interface {
-	Engine
-	TrSubset(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error)
+// runFunc is a decision written against a core.Decider, receiver first, so
+// a Decider method expression is one.
+type runFunc func(d *core.Decider, ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error)
+
+// builtin is a registry engine, written once as a runFunc. A Session runs
+// it on its pinned Decider; the stateless Decide on a fresh one. Built-ins
+// are held by pointer, so engines compare with == like any pointer.
+type builtin struct {
+	name string
+	caps Caps
+	run  runFunc
 }
 
-// deciderBacked is implemented by engines whose decisions can run on a
-// Session's pinned core.Decider instead of fresh per-call scratch.
-type deciderBacked interface {
-	decideWith(ctx context.Context, d *core.Decider, g, h *hypergraph.Hypergraph) (*core.Result, error)
-	trSubsetWith(ctx context.Context, d *core.Decider, g, h *hypergraph.Hypergraph) (*core.Result, error)
+func (e *builtin) Name() string { return e.name }
+func (e *builtin) Caps() Caps   { return e.caps }
+
+// Decide runs the engine on a fresh Decider and detaches the verdict from
+// it, so the result aliases nothing.
+func (e *builtin) Decide(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
+	return core.Detach(e.run(core.NewDecider(), ctx, g, h))
 }
 
-// TrSubset decides tr(g) ⊆ h with eng when it has the capability, falling
-// back to the reference serial tree stage otherwise (every engine's verdict
-// would agree; only the work differs, so the fallback is safe).
-func TrSubset(ctx context.Context, eng Engine, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	if ts, ok := eng.(TrSubsetter); ok {
-		return ts.TrSubset(ctx, g, h)
-	}
-	return core.TrSubsetContext(ctx, g, h)
-}
-
-// coreSerial adapts the paper's serial decomposition (core.DecideContext).
-type coreSerial struct{}
-
-func (coreSerial) Name() string { return "core" }
-func (coreSerial) Caps() Caps   { return Caps{FailPath: true, TrSubset: true, Reusable: true} }
-func (coreSerial) Decide(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	return core.DecideContext(ctx, g, h)
-}
-func (coreSerial) TrSubset(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	return core.TrSubsetContext(ctx, g, h)
-}
-func (coreSerial) decideWith(ctx context.Context, d *core.Decider, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	return d.DecideContext(ctx, g, h)
-}
-func (coreSerial) trSubsetWith(ctx context.Context, d *core.Decider, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	return d.TrSubsetContext(ctx, g, h)
-}
-
-// coreParallel adapts the bounded-goroutine tree search.
-type coreParallel struct{ workers int }
+// coreSerial is the paper's serial decomposition on the pinned walker.
+var coreSerial = &builtin{name: "core", caps: Caps{FailPath: true}, run: (*core.Decider).DecideContext}
 
 // NewCoreParallel returns the parallel decomposition engine with the given
 // goroutine bound (0 = GOMAXPROCS).
-func NewCoreParallel(workers int) Engine { return coreParallel{workers: workers} }
+func NewCoreParallel(workers int) Engine { return coreParallel(workers) }
 
-func (coreParallel) Name() string { return "core-parallel" }
-func (coreParallel) Caps() Caps   { return Caps{Parallel: true, FailPath: true} }
-func (e coreParallel) Decide(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	return core.DecideParallelContext(ctx, g, h, e.workers)
+// coreParallel is the work-stealing tree search on the Decider's indexes.
+func coreParallel(workers int) *builtin {
+	return &builtin{name: "core-parallel", caps: Caps{Parallel: true, FailPath: true},
+		run: func(d *core.Decider, ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
+			return d.DecideParallel(ctx, g, h, workers)
+		}}
 }
 
-// decideWith cannot use the pinned scratch (the work-stealing pool owns its
-// worker states), but it inherits the session decider's recorder so parallel
-// decisions report stage timings — including walk_steals — like serial ones.
-func (e coreParallel) decideWith(ctx context.Context, d *core.Decider, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	return core.DecideParallelOpts(ctx, g, h, core.ParallelOptions{Workers: e.workers, Rec: d.Recorder()})
+// fkA and fkB adapt the Fredman–Khachiyan algorithms.
+var (
+	fkA = &builtin{name: "fk-a", run: fkRun(fkdual.DecideAContext)}
+	fkB = &builtin{name: "fk-b", run: fkRun(fkdual.DecideBContext)}
+)
+
+// fkRun is the FK adapter: the Decider's pinned precheck for the
+// precondition reasons, then the FK recursion on the unoriented pair for the
+// tree-equivalent stage.
+func fkRun(decide func(ctx context.Context, g, h *hypergraph.Hypergraph) (*fkdual.Result, error)) runFunc {
+	return func(d *core.Decider, ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
+		if res, done, err := d.Precheck(g, h); err != nil || done {
+			return res, err
+		}
+		fres, err := decide(ctx, g, h)
+		if err != nil {
+			return nil, err
+		}
+		out := &core.Result{Dual: fres.Dual, GEdge: -1, HEdge: -1, RedundantVertex: -1}
+		// Map the recursion counters onto the tree-stage statistics so callers
+		// see comparable work measures across engines.
+		out.Stats = core.Stats{Nodes: fres.Stats.Calls, MaxDepth: fres.Stats.MaxDepth}
+		if !fres.Dual {
+			// Preconditions hold, so the FK witness x must be both-false
+			// (a both-true witness would exhibit a disjoint edge pair, which
+			// cross-intersection excludes): no g-edge inside x, no h-edge inside
+			// V∖x. Then V∖x is a transversal of g containing no edge of h — the
+			// paper's new-transversal witness — and x is its co-witness.
+			out.Reason = core.ReasonNewTransversal
+			out.Witness = fres.Witness.Complement()
+			out.CoWitness = fres.Witness.Clone()
+		}
+		return out, nil
+	}
 }
 
-// trSubsetWith answers the raw tree stage on the pinned serial walker (the
-// choice does not affect the verdict).
-func (e coreParallel) trSubsetWith(ctx context.Context, d *core.Decider, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	return d.TrSubsetContext(ctx, g, h)
-}
+// logspaceReplay is the path-descriptor walker in its fast (replay) regime,
+// plugged into the Decider as its tree stage.
+var logspaceReplay = &builtin{name: "logspace", caps: Caps{FailPath: true},
+	run: func(d *core.Decider, ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
+		return d.DecideSearch(ctx, g, h, replaySearch)
+	}}
 
-// fk adapts the Fredman–Khachiyan algorithms: core.Precheck for the
-// precondition reasons, then the FK recursion for the tree-equivalent stage.
-type fk struct{ b bool }
-
-func (e fk) Name() string {
-	if e.b {
-		return "fk-b"
-	}
-	return "fk-a"
-}
-func (fk) Caps() Caps { return Caps{} }
-
-func (e fk) Decide(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	res, done, err := core.Precheck(g, h)
-	if err != nil || done {
-		return res, err
-	}
-	decide := fkdual.DecideAContext
-	if e.b {
-		decide = fkdual.DecideBContext
-	}
-	fres, err := decide(ctx, g, h)
-	if err != nil {
-		return nil, err
-	}
-	out := &core.Result{Dual: fres.Dual, GEdge: -1, HEdge: -1, RedundantVertex: -1}
-	// Map the recursion counters onto the tree-stage statistics so callers
-	// see comparable work measures across engines.
-	out.Stats = core.Stats{Nodes: fres.Stats.Calls, MaxDepth: fres.Stats.MaxDepth}
-	if !fres.Dual {
-		// Preconditions hold, so the FK witness x must be both-false
-		// (a both-true witness would exhibit a disjoint edge pair, which
-		// cross-intersection excludes): no g-edge inside x, no h-edge inside
-		// V∖x. Then V∖x is a transversal of g containing no edge of h — the
-		// paper's new-transversal witness — and x is its co-witness.
-		out.Reason = core.ReasonNewTransversal
-		out.Witness = fres.Witness.Complement()
-		out.CoWitness = fres.Witness.Clone()
-	}
-	return out, nil
-}
-
-// logspaceReplay adapts the path-descriptor walker in its fast (replay)
-// regime: core.Precheck, then logspace.FindFailPath over the decomposition
-// tree, honoring the same |H| ≤ |G| orientation convention as core.Decide.
-type logspaceReplay struct{}
-
-func (logspaceReplay) Name() string { return "logspace" }
-func (logspaceReplay) Caps() Caps   { return Caps{FailPath: true, TrSubset: true} }
-
-func (e logspaceReplay) Decide(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	res, done, err := core.Precheck(g, h)
-	if err != nil || done {
-		return res, err
-	}
-	a, b, swapped := g, h, false
-	if h.M() > g.M() {
-		a, b, swapped = h, g, true
-	}
-	out, err := e.TrSubset(ctx, a, b)
-	if err != nil {
-		return nil, err
-	}
-	out.Swapped = swapped
-	if !out.Dual && swapped {
-		out.Witness, out.CoWitness = out.CoWitness, out.Witness
-	}
-	return out, nil
-}
-
-func (logspaceReplay) TrSubset(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
+// replaySearch walks T(g,h) through the path-descriptor enumerator
+// (Theorem 4.1's decompose), stopping at the first fail leaf — the same
+// DFS-first search as logspace.FindFailPath, but with the per-node
+// visibility the Stats contract wants (MaxChildren is not observable per
+// node here and stays 0). Attr.Label and Attr.T alias walker state, so both
+// are copied out.
+func replaySearch(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
 	out := &core.Result{Dual: true, GEdge: -1, HEdge: -1, RedundantVertex: -1}
-	// Walk the tree through the path-descriptor enumerator (Theorem 4.1's
-	// decompose), stopping at the first fail leaf — the same DFS-first
-	// search as logspace.FindFailPath, but with the per-node visibility the
-	// Stats contract wants (MaxChildren is not observable per node here and
-	// stays 0). Attr.Label and Attr.T alias walker state, so both are
-	// copied out.
 	err := logspace.Decompose(g, h, logspace.Options{Mode: logspace.ModeReplay, Ctx: ctx},
 		func(a logspace.Attr) bool {
 			out.Stats.Nodes++
@@ -249,15 +187,15 @@ func ByName(name string) (Engine, error) {
 	case "", "portfolio":
 		return Default(), nil
 	case "core":
-		return coreSerial{}, nil
+		return coreSerial, nil
 	case "core-parallel":
-		return coreParallel{}, nil
+		return coreParallel(0), nil
 	case "fk-a":
-		return fk{}, nil
+		return fkA, nil
 	case "fk-b":
-		return fk{b: true}, nil
+		return fkB, nil
 	case "logspace":
-		return logspaceReplay{}, nil
+		return logspaceReplay, nil
 	}
 	return nil, fmt.Errorf("engine: unknown engine %q (have %v)", name, Names())
 }

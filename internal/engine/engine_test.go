@@ -26,6 +26,11 @@ func TestRegistry(t *testing.T) {
 		if e.Name() != name {
 			t.Errorf("ByName(%q).Name() = %q", name, e.Name())
 		}
+		// Engines compare with == (a non-comparable dynamic type panics).
+		_ = e == mustEngine(t, name)
+	}
+	if mustEngine(t, "core") != mustEngine(t, "core") {
+		t.Error("the core engine resolved to two different values")
 	}
 	if def, err := engine.ByName(""); err != nil || def.Name() != "portfolio" {
 		t.Errorf("empty name resolved to (%v, %v), want the portfolio", def, err)
@@ -34,7 +39,7 @@ func TestRegistry(t *testing.T) {
 		t.Error("unknown engine name did not error")
 	}
 	caps := mustEngine(t, "core").Caps()
-	if !caps.TrSubset || !caps.Reusable || caps.Parallel {
+	if !caps.FailPath || caps.Parallel {
 		t.Errorf("core caps = %+v", caps)
 	}
 	if !mustEngine(t, "core-parallel").Caps().Parallel {
@@ -103,8 +108,8 @@ func TestPortfolioSelect(t *testing.T) {
 }
 
 func TestSessionRecorderReachesParallel(t *testing.T) {
-	// A session's stage recorder must flow through to the parallel engine
-	// even though the work-stealing pool cannot use the pinned scratch; the
+	// A session's stage recorder must flow through to the parallel engine,
+	// whose work-stealing pool runs on the pinned Decider's indexes; the
 	// walk stage (and on multi-worker runs possibly walk_steals) lands in
 	// the same recorder serial decisions use.
 	s := engine.NewSession(engine.NewCoreParallel(4))
@@ -240,7 +245,7 @@ func TestTransversalOracle(t *testing.T) {
 	} {
 		want := transversal.Berge(h)
 		for _, oracle := range []transversal.WitnessOracle{
-			engine.NewTransversalOracle(ctx, mustEngine(t, "portfolio")),
+			engine.NewSession(mustEngine(t, "portfolio")).NewTransversalOracle(ctx),
 			engine.NewSession(mustEngine(t, "core")).NewTransversalOracle(ctx),
 		} {
 			got, err := transversal.ViaOracle(h, oracle)

@@ -8,76 +8,19 @@ import (
 	"dualspace/internal/transversal"
 )
 
-// Oracle plumbing: the incremental applications (transversal.ViaOracle /
-// EnumerateViaOracle, and through them the data-mining pattern of §1 of the
-// paper) consume a transversal.WitnessOracle; these constructors back that
-// oracle with an engine's raw tree stage, so the oracle call sites need not
-// touch a decision procedure directly.
-
-// NewTransversalOracle returns a witness oracle driven by eng: it answers
-// "give me a transversal of g containing no edge of partial, or report that
-// partial ⊇ tr(g)", handling the degenerate shapes (constant g, empty
-// partial) that the tree stage's input contract excludes. Each oracle call
-// costs one duality decision.
-func NewTransversalOracle(ctx context.Context, eng Engine) transversal.WitnessOracle {
-	return func(g, partial *hypergraph.Hypergraph) (bitset.Set, bool, error) {
-		return newTransversal(ctx, g, partial, func(g, h *hypergraph.Hypergraph) (bool, bitset.Set, error) {
-			res, err := TrSubset(ctx, eng, g, h)
-			if err != nil {
-				return false, bitset.Set{}, err
-			}
-			return res.Dual, res.Witness, nil
-		})
-	}
-}
-
-// NewTransversalOracle is the package-level NewTransversalOracle running on
-// the session's pinned scratch. The witnesses handed to this variant's
-// consumer alias the session storage exactly as long as the transversal
+// NewTransversalOracle returns a witness oracle on the session's pinned
+// Decider, so the oracle call sites of the incremental applications
+// (transversal.ViaOracle / EnumerateViaOracle, and through them the
+// data-mining pattern of §1 of the paper) need not touch a decision
+// procedure directly. It answers "give me a transversal of g containing no
+// edge of partial, or report that partial ⊇ tr(g)" (ok = false: the
+// enumeration is complete) with core.Decider.NewTransversal, degenerate
+// shapes included; each non-degenerate call costs one raw tree stage. The
+// witnesses alias the session storage exactly as long as the transversal
 // enumerators need them (they minimalize into a fresh set before the next
 // oracle call).
 func (s *Session) NewTransversalOracle(ctx context.Context) transversal.WitnessOracle {
 	return func(g, partial *hypergraph.Hypergraph) (bitset.Set, bool, error) {
-		return newTransversal(ctx, g, partial, func(g, h *hypergraph.Hypergraph) (bool, bitset.Set, error) {
-			res, err := s.TrSubset(ctx, g, h)
-			if err != nil {
-				return false, bitset.Set{}, err
-			}
-			return res.Dual, res.Witness, nil
-		})
+		return s.dec.NewTransversal(ctx, g, partial)
 	}
-}
-
-// newTransversal implements the oracle semantics on a tr-subset primitive:
-// ok = false means partial = tr(g) (the enumeration is complete).
-func newTransversal(ctx context.Context, g, partial *hypergraph.Hypergraph, trSubset func(g, h *hypergraph.Hypergraph) (bool, bitset.Set, error)) (bitset.Set, bool, error) {
-	if err := ctx.Err(); err != nil {
-		return bitset.Set{}, false, err
-	}
-	switch {
-	case g.HasEmptyEdge():
-		// tr(g) = ∅: nothing to find, any partial ⊆ tr(g) is complete.
-		return bitset.Set{}, false, nil
-	case g.M() == 0:
-		// tr(g) = {∅}: the empty set is the one missing transversal.
-		if partial.M() == 0 {
-			return bitset.New(g.N()), true, nil
-		}
-		return bitset.Set{}, false, nil
-	case partial.M() == 0:
-		// No candidates yet: the full vertex set is a transversal of the
-		// non-constant g and trivially contains no edge of the empty family.
-		return bitset.Full(g.N()), true, nil
-	case partial.HasEmptyEdge():
-		// ∅ ∈ partial: every set contains ∅, so no new transversal exists.
-		return bitset.Set{}, false, nil
-	}
-	dual, wit, err := trSubset(g, partial)
-	if err != nil {
-		return bitset.Set{}, false, err
-	}
-	if dual {
-		return bitset.Set{}, false, nil
-	}
-	return wit, true, nil
 }

@@ -94,33 +94,32 @@ type PortfolioConfig struct {
 }
 
 // Portfolio is the feature-dispatching engine. It is stateless and safe for
-// concurrent use; create with NewPortfolio.
+// concurrent use; create with NewPortfolio. Its own contract (Caps): it may
+// parallelize, but a fail path is not guaranteed (the FK engines do not
+// produce one).
 type Portfolio struct {
-	cfg      PortfolioConfig
-	serial   coreSerial
-	parallel coreParallel
-	fka, fkb fk
+	builtin
+	cfg                        PortfolioConfig
+	serial, parallel, fka, fkb *builtin
 }
 
 // NewPortfolio returns a portfolio over the core and FK engines.
 func NewPortfolio(cfg PortfolioConfig) *Portfolio {
-	return &Portfolio{cfg: cfg, parallel: coreParallel{workers: cfg.Workers}, fka: fk{}, fkb: fk{b: true}}
-}
-
-// Name returns "portfolio".
-func (p *Portfolio) Name() string { return "portfolio" }
-
-// Caps reports the portfolio's own contract: it may parallelize and a
-// Session can pin its scratch, but a fail path is not guaranteed (the FK
-// engines do not produce one), and TrSubset runs on the serial walker.
-func (p *Portfolio) Caps() Caps {
-	return Caps{Parallel: true, TrSubset: true, Reusable: true}
+	p := &Portfolio{cfg: cfg, serial: coreSerial, parallel: coreParallel(cfg.Workers), fka: fkA, fkb: fkB}
+	p.builtin = builtin{name: "portfolio", caps: Caps{Parallel: true}, run: p.decide}
+	return p
 }
 
 // Select returns the engine the portfolio would dispatch (g, h) to, plus the
 // features that determined the choice — exposed so tests and /statsz
 // consumers can observe the policy.
 func (p *Portfolio) Select(g, h *hypergraph.Hypergraph) (Engine, Features) {
+	return p.pick(g, h)
+}
+
+// pick is Select without boxing the choice, so a session's dispatch stays
+// allocation-free.
+func (p *Portfolio) pick(g, h *hypergraph.Hypergraph) (*builtin, Features) {
 	f := countFeatures(g, h)
 	if f.MinSide <= fkSmallSide {
 		return p.fkb, f
@@ -152,53 +151,29 @@ func (p *Portfolio) Select(g, h *hypergraph.Hypergraph) (Engine, Features) {
 // rival returns the contrasting engine raced against the selection: the
 // FK-A baseline against core picks, the serial decomposition against FK
 // picks — maximally different search strategies, per the racing rationale.
-func (p *Portfolio) rival(sel Engine) Engine {
-	switch sel.(type) {
-	case fk:
+func (p *Portfolio) rival(sel *builtin) *builtin {
+	if sel == p.fkb {
 		return p.serial
-	default:
-		return p.fka
 	}
+	return p.fka
 }
 
-// Decide dispatches to the selected engine, or races it against its rival
-// when racing is configured.
-func (p *Portfolio) Decide(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	sel, _ := p.Select(g, h)
+// decide dispatches to the selected engine on d, or races it against its
+// rival when racing is configured. Racing runs two engines concurrently;
+// the single-threaded Decider cannot serve both, so each side decides on a
+// fresh one.
+func (p *Portfolio) decide(d *core.Decider, ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
+	sel, _ := p.pick(g, h)
 	if p.cfg.Race {
 		return race(ctx, sel, p.rival(sel), g, h)
 	}
-	return sel.Decide(ctx, g, h)
-}
-
-// TrSubset runs the raw tree stage on the serial walker (the FK engines
-// cannot answer the precondition-free question, and the choice does not
-// affect the verdict).
-func (p *Portfolio) TrSubset(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	return core.TrSubsetContext(ctx, g, h)
-}
-
-func (p *Portfolio) decideWith(ctx context.Context, d *core.Decider, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	if p.cfg.Race {
-		// Racing runs two engines concurrently; the single-threaded pinned
-		// decider cannot serve both, so racing portfolios decide statelessly.
-		return p.Decide(ctx, g, h)
-	}
-	sel, _ := p.Select(g, h)
-	if db, ok := sel.(deciderBacked); ok {
-		return db.decideWith(ctx, d, g, h)
-	}
-	return sel.Decide(ctx, g, h)
-}
-
-func (p *Portfolio) trSubsetWith(ctx context.Context, d *core.Decider, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	return d.TrSubsetContext(ctx, g, h)
+	return sel.run(d, ctx, g, h)
 }
 
 // race runs a and b under a shared cancellable context and returns the first
 // verdict, cancelling the loser (which drains within one node boundary). It
 // waits for both goroutines before returning, so no work outlives the call.
-func race(ctx context.Context, a, b Engine, g, h *hypergraph.Hypergraph) (*core.Result, error) {
+func race(ctx context.Context, a, b *builtin, g, h *hypergraph.Hypergraph) (*core.Result, error) {
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	type outcome struct {
@@ -206,8 +181,8 @@ func race(ctx context.Context, a, b Engine, g, h *hypergraph.Hypergraph) (*core.
 		err error
 	}
 	ch := make(chan outcome, 2)
-	for _, e := range []Engine{a, b} {
-		go func(e Engine) {
+	for _, e := range []*builtin{a, b} {
+		go func(e *builtin) {
 			res, err := e.Decide(rctx, g, h)
 			ch <- outcome{res, err}
 		}(e)

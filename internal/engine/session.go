@@ -9,13 +9,13 @@ import (
 )
 
 // Session is the per-holder reuse layer: it wraps an engine together with a
-// pinned core.Decider (classification scratch, frame stack, witness and
-// result storage), so that repeated decisions from one long-lived holder —
-// a service worker, an incremental border/key loop, a CLI batch — are
-// allocation-free across calls, not just within one. Engines that cannot
-// use the pinned scratch (the parallel search pools its own worker states;
-// the FK recursion allocates per call by nature) simply decide statelessly
-// through the same Session.
+// pinned core.Decider (incidence indexes, classification scratch, frame
+// stack, witness and result storage), so that repeated decisions from one
+// long-lived holder — a service worker, an incremental border/key loop, a
+// CLI batch — are allocation-free across calls, not just within one. Every
+// built-in engine runs on the pinned Decider: the serial walk on its
+// scratch, the parallel search and the logspace walker on its indexes
+// after its precheck, the FK recursion after its precheck.
 //
 // A Session is itself an Engine, so it can be handed to any engine-accepting
 // call site. It is NOT safe for concurrent use, and results returned through
@@ -76,8 +76,8 @@ func (s *Session) MemoStats() core.MemoStats { return s.dec.MemoStats() }
 // (the verdict pipeline's compute step in internal/batch) Reset it
 // before each decision and read it out after; once attached, every decision
 // on the session records stages, at the cost of a few clock reads and zero
-// allocations. Decisions through engines that cannot use the pinned decider
-// (FK, the parallel search) leave the engine stages at zero.
+// allocations. The FK recursion records only index sync and precheck; the
+// parallel search adds walk and walk_steals.
 func (s *Session) Recorder() *obs.Recorder {
 	if s.rec == nil {
 		s.rec = &s.recStore
@@ -119,24 +119,25 @@ func (s *Session) Decide(ctx context.Context, g, h *hypergraph.Hypergraph) (*cor
 }
 
 // DecideWith decides with an explicit engine (e.g. a per-request override)
-// while still reusing the session's pinned scratch when that engine can.
+// on the session's pinned Decider. An Engine implemented outside this
+// package has no decision on a Decider and decides through its own Decide.
 //
 //dual:allocfree
 func (s *Session) DecideWith(ctx context.Context, eng Engine, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	if db, ok := eng.(deciderBacked); ok {
-		return db.decideWith(ctx, s.dec, g, h)
+	switch e := eng.(type) {
+	case *builtin:
+		return e.run(s.dec, ctx, g, h)
+	case *Portfolio:
+		return e.run(s.dec, ctx, g, h)
 	}
 	return eng.Decide(ctx, g, h)
 }
 
-// TrSubset decides tr(g) ⊆ h on the pinned scratch when the session's
-// engine supports the raw tree stage, falling back like the package-level
-// TrSubset otherwise.
+// TrSubset decides tr(g) ⊆ h on the pinned serial walker (see
+// core.TrSubset). The question is the raw tree stage, which every engine
+// would answer alike, so the session's engine does not enter into it.
 //
 //dual:allocfree
 func (s *Session) TrSubset(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	if db, ok := s.eng.(deciderBacked); ok {
-		return db.trSubsetWith(ctx, s.dec, g, h)
-	}
-	return TrSubset(ctx, s.eng, g, h)
+	return s.dec.TrSubsetContext(ctx, g, h)
 }

@@ -10,10 +10,13 @@ import (
 // the property checks stay cheap, shaped like the service defaults.
 var fuzzLimits = Limits{MaxEdges: 64, MaxEdgeVerts: 16, MaxUniverse: 64, MaxLineBytes: 1 << 12}
 
-// FuzzParseEdges asserts, on arbitrary input, that the hardened parser (a)
-// never panics, (b) never returns an edge list exceeding its limits, and
-// (c) agrees with the unlimited parser whenever it accepts. The seed inputs
-// double as the regression corpus in testdata/fuzz/FuzzParseEdges.
+// FuzzParseEdges asserts, on one arbitrary edge text, that ParseHypergraphs
+// under limits (a) never panics, (b) never returns a hypergraph exceeding
+// its limits, and (c) agrees with the unlimited parse whenever it accepts.
+// The seed inputs double as the regression corpus in
+// testdata/fuzz/FuzzParseEdges; FuzzParseHypergraphs, the differential
+// check against the reference parser, carries the same seeds and is the
+// target to fuzz.
 func FuzzParseEdges(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -34,7 +37,7 @@ func FuzzParseEdges(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, in string) {
-		el, err := ParseEdgesLimited(strings.NewReader(in), fuzzLimits)
+		hs, sy, err := ParseHypergraphs(fuzzLimits, nil, in)
 		if err != nil {
 			// Rejections must be classified: either a limit violation or a
 			// syntax error mentioning the offending line.
@@ -44,31 +47,25 @@ func FuzzParseEdges(f *testing.F) {
 			}
 			return
 		}
-		if len(el) > fuzzLimits.MaxEdges {
-			t.Fatalf("accepted %d edges > limit %d", len(el), fuzzLimits.MaxEdges)
+		h := hs[0]
+		if h.M() > fuzzLimits.MaxEdges {
+			t.Fatalf("accepted %d edges > limit %d", h.M(), fuzzLimits.MaxEdges)
 		}
-		sy := NewSymbols()
-		el.InternAll(sy)
-		if sy.Len() > fuzzLimits.MaxUniverse {
-			t.Fatalf("accepted universe %d > limit %d", sy.Len(), fuzzLimits.MaxUniverse)
+		if sy.Len() > fuzzLimits.MaxUniverse || h.N() != sy.Len() {
+			t.Fatalf("accepted universe %d (table %d) > limit %d", h.N(), sy.Len(), fuzzLimits.MaxUniverse)
 		}
-		for _, e := range el {
-			if len(e) > fuzzLimits.MaxEdgeVerts {
-				t.Fatalf("accepted edge with %d vertices > limit %d", len(e), fuzzLimits.MaxEdgeVerts)
+		for _, e := range h.Edges() {
+			if e.Len() > fuzzLimits.MaxEdgeVerts {
+				t.Fatalf("accepted edge with %d vertices > limit %d", e.Len(), fuzzLimits.MaxEdgeVerts)
 			}
 		}
-		// Accepted input must parse identically without limits, and build a
-		// hypergraph with exactly one edge per accepted row.
-		plain, err := ParseEdges(strings.NewReader(in))
+		// Accepted input must parse identically without limits.
+		plain, _, err := ParseHypergraphs(Limits{}, nil, in)
 		if err != nil {
 			t.Fatalf("limited parser accepted what the plain parser rejects: %v", err)
 		}
-		if len(plain) != len(el) {
-			t.Fatalf("limited/plain edge counts differ: %d vs %d", len(el), len(plain))
-		}
-		h := el.Build(sy)
-		if h.M() != len(el) || h.N() != sy.Len() {
-			t.Fatalf("built hypergraph shape %d/%d != parsed %d/%d", h.M(), h.N(), len(el), sy.Len())
+		if !sameEdges(plain[0], h) {
+			t.Fatalf("limited/plain parses differ: %v vs %v", h, plain[0])
 		}
 	})
 }

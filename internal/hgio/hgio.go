@@ -61,41 +61,6 @@ func (s *Symbols) Name(i int) string { return s.names[i] }
 // Names returns a copy of all names in index order.
 func (s *Symbols) Names() []string { return append([]string(nil), s.names...) }
 
-// EdgeList is a parsed but not yet interned hypergraph: one name list per
-// edge.
-type EdgeList [][]string
-
-// ParseEdges reads the line-oriented edge format. An explicit empty edge
-// can be written as the single token "-" (needed to express the constant ⊤
-// hypergraph {∅}). It is ParseEdgesLimited without bounds (limits.go).
-func ParseEdges(r io.Reader) (EdgeList, error) {
-	return ParseEdgesLimited(r, Limits{})
-}
-
-// InternAll interns every name of the edge list into sy.
-func (el EdgeList) InternAll(sy *Symbols) {
-	for _, e := range el {
-		for _, name := range e {
-			sy.Intern(name)
-		}
-	}
-}
-
-// Build converts the edge list into a hypergraph over sy's universe. Call
-// InternAll on every edge list sharing the table before building any of
-// them, so the universe is final.
-func (el EdgeList) Build(sy *Symbols) *hypergraph.Hypergraph {
-	h := hypergraph.New(sy.Len())
-	for _, e := range el {
-		idx := make([]int, len(e))
-		for i, name := range e {
-			idx[i] = sy.Intern(name)
-		}
-		h.AddEdgeElems(idx...)
-	}
-	return h
-}
-
 // ReadHypergraphs reads several edge files into hypergraphs over a shared
 // universe, without input bounds (see ReadHypergraphsLimited).
 func ReadHypergraphs(readers ...io.Reader) ([]*hypergraph.Hypergraph, *Symbols, error) {

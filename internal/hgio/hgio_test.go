@@ -10,30 +10,24 @@ import (
 )
 
 func TestParseEdges(t *testing.T) {
-	in := `
-# a comment
-a b
-  c d  # not a comment marker mid-line: token "#" kept? no — fields split
-`
-	el, err := hgio.ParseEdges(strings.NewReader("a b\nc d\n\n# comment\n"))
+	hs, _, err := hgio.ParseHypergraphs(hgio.Limits{}, nil, "a b\nc d\n\n# comment\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(el) != 2 || len(el[0]) != 2 {
-		t.Fatalf("edges: %v", el)
+	if h := hs[0]; h.M() != 2 || h.Edge(0).Len() != 2 {
+		t.Fatalf("edges: %v", h)
 	}
-	_ = in
 }
 
 func TestEmptyEdgeToken(t *testing.T) {
-	el, err := hgio.ParseEdges(strings.NewReader("-\n"))
+	hs, _, err := hgio.ParseHypergraphs(hgio.Limits{}, nil, "-\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(el) != 1 || len(el[0]) != 0 {
-		t.Fatalf("edges: %v", el)
+	if h := hs[0]; h.M() != 1 || !h.Edge(0).IsEmpty() {
+		t.Fatalf("edges: %v", h)
 	}
-	if _, err := hgio.ParseEdges(strings.NewReader("a - b\n")); err == nil {
+	if _, _, err := hgio.ParseHypergraphs(hgio.Limits{}, nil, "a - b\n"); err == nil {
 		t.Error("inline '-' accepted")
 	}
 }

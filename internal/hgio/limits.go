@@ -61,35 +61,13 @@ type Limits struct {
 	MaxLineBytes int
 }
 
-// CheckUniverse validates a combined universe size (e.g. after interning
-// several edge lists into one Symbols table) against MaxUniverse.
+// CheckUniverse validates a combined universe size (e.g. after scanning
+// several texts into one Symbols table) against MaxUniverse.
 func (l Limits) CheckUniverse(n int) error {
 	if l.MaxUniverse > 0 && n > l.MaxUniverse {
 		return &LimitError{Quantity: "universe", Got: n, Max: l.MaxUniverse}
 	}
 	return nil
-}
-
-// ParseEdgesLimited reads the line-oriented edge format like ParseEdges,
-// rejecting input that exceeds lim with a LimitError. The universe bound is
-// enforced against the distinct names of this list alone.
-func ParseEdgesLimited(r io.Reader, lim Limits) (EdgeList, error) {
-	texts, err := readTexts(r)
-	if err != nil {
-		return nil, err
-	}
-	s := newScanner(lim, nil)
-	if err := s.scan(texts[0]); err != nil {
-		return nil, err
-	}
-	out := make(EdgeList, len(s.bounds)-1)
-	for k := range out {
-		out[k] = []string{}
-		for _, id := range s.ids[s.bounds[k]:s.bounds[k+1]] {
-			out[k] = append(out[k], s.sy.Name(int(id)))
-		}
-	}
-	return out, nil
 }
 
 // ReadHypergraphsLimited is ParseHypergraphs over whole readers, with a

@@ -8,16 +8,16 @@ import (
 
 func TestParseEdgesLimitedAcceptsWithinLimits(t *testing.T) {
 	lim := Limits{MaxEdges: 4, MaxEdgeVerts: 3, MaxUniverse: 6, MaxLineBytes: 64}
-	el, err := ParseEdgesLimited(strings.NewReader("a b\nc d\n# comment\n-\n"), lim)
+	hs, _, err := ParseHypergraphs(lim, nil, "a b\nc d\n# comment\n-\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(el) != 3 {
-		t.Fatalf("edges = %d, want 3", len(el))
+	if hs[0].M() != 3 {
+		t.Fatalf("edges = %d, want 3", hs[0].M())
 	}
-	// The zero Limits accepts everything ParseEdges does.
-	el2, err := ParseEdgesLimited(strings.NewReader("a b c d e f g h\n"), Limits{})
-	if err != nil || len(el2) != 1 {
+	// The zero Limits bounds nothing but the default line length.
+	hs2, _, err := ParseHypergraphs(Limits{}, nil, "a b c d e f g h\n")
+	if err != nil || hs2[0].M() != 1 {
 		t.Fatalf("zero limits rejected valid input: %v", err)
 	}
 }
@@ -36,7 +36,7 @@ func TestParseEdgesLimitedRejections(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ParseEdgesLimited(strings.NewReader(c.input), c.lim)
+			_, _, err := ParseHypergraphs(c.lim, nil, c.input)
 			if err == nil {
 				t.Fatal("oversized input accepted")
 			}
@@ -52,7 +52,7 @@ func TestParseEdgesLimitedRejections(t *testing.T) {
 }
 
 func TestParseEdgesLimitedKeepsSyntaxErrors(t *testing.T) {
-	_, err := ParseEdgesLimited(strings.NewReader("a - b\n"), Limits{MaxEdges: 10})
+	_, _, err := ParseHypergraphs(Limits{MaxEdges: 10}, nil, "a - b\n")
 	if err == nil || errors.Is(err, ErrLimitExceeded) {
 		t.Fatalf("syntax error misclassified: %v", err)
 	}

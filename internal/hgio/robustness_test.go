@@ -1,6 +1,7 @@
 package hgio_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -17,7 +18,7 @@ func TestQuickParseEdgesNeverPanics(t *testing.T) {
 				ok = false
 			}
 		}()
-		_, _ = hgio.ParseEdges(strings.NewReader(s))
+		_, _, _ = hgio.ParseHypergraphs(hgio.Limits{}, nil, s)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -79,20 +80,20 @@ func TestQuickHypergraphRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHugeLine ensures the scanner accepts long edge lines (the buffer is
-// raised beyond bufio's default).
+// TestHugeLine ensures the scanner accepts long edge lines (far beyond
+// bufio's default buffer) under the default line bound.
 func TestHugeLine(t *testing.T) {
 	var b strings.Builder
 	for i := 0; i < 100000; i++ {
 		b.WriteString("v")
-		b.WriteString(string(rune('a' + i%26)))
+		b.WriteString(strconv.Itoa(i))
 		b.WriteString(" ")
 	}
-	el, err := hgio.ParseEdges(strings.NewReader(b.String()))
+	hs, _, err := hgio.ParseHypergraphs(hgio.Limits{}, nil, b.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(el) != 1 || len(el[0]) != 100000 {
-		t.Fatalf("huge line parsed into %d edges", len(el))
+	if h := hs[0]; h.M() != 1 || h.Edge(0).Len() != 100000 {
+		t.Fatalf("huge line parsed into %d edges", h.M())
 	}
 }

@@ -14,8 +14,8 @@ import (
 
 // refParseEdges is the bufio + strings.Fields parser the scanner replaced,
 // kept as the reference the differential fuzz target checks it against.
-func refParseEdges(r io.Reader, lim Limits) (EdgeList, error) {
-	var out EdgeList
+func refParseEdges(r io.Reader, lim Limits) ([][]string, error) {
+	var out [][]string
 	sc := bufio.NewScanner(r)
 	maxLine := 16 * 1024 * 1024
 	if lim.MaxLineBytes > 0 {
@@ -67,16 +67,21 @@ func refParseEdges(r io.Reader, lim Limits) (EdgeList, error) {
 }
 
 // refReadHypergraphs is the reference ReadHypergraphsLimited: parse each
-// text whole, then intern it and check the combined universe.
+// text whole, then intern it and check the combined universe; build every
+// hypergraph once the universe is final.
 func refReadHypergraphs(lim Limits, texts ...string) ([]*hypergraph.Hypergraph, *Symbols, error) {
 	sy := NewSymbols()
-	lists := make([]EdgeList, 0, len(texts))
+	lists := make([][][]string, 0, len(texts))
 	for _, text := range texts {
 		el, err := refParseEdges(strings.NewReader(text), lim)
 		if err != nil {
 			return nil, nil, err
 		}
-		el.InternAll(sy)
+		for _, e := range el {
+			for _, name := range e {
+				sy.Intern(name)
+			}
+		}
 		if err := lim.CheckUniverse(sy.Len()); err != nil {
 			return nil, nil, err
 		}
@@ -84,7 +89,14 @@ func refReadHypergraphs(lim Limits, texts ...string) ([]*hypergraph.Hypergraph, 
 	}
 	out := make([]*hypergraph.Hypergraph, len(lists))
 	for i, el := range lists {
-		out[i] = el.Build(sy)
+		out[i] = hypergraph.New(sy.Len())
+		for _, e := range el {
+			idx := make([]int, len(e))
+			for k, name := range e {
+				idx[k] = sy.Intern(name)
+			}
+			out[i].AddEdgeElems(idx...)
+		}
 	}
 	return out, sy, nil
 }

@@ -198,9 +198,10 @@ func ComputeBorders(d *Dataset, z int) (*Borders, error) {
 // ComputeBordersContext is ComputeBorders with cancellation: every duality
 // check of the dualize-and-advance loop polls ctx at every tree node (see
 // core.DecideContext), so cancelling aborts the mining mid-loop with ctx's
-// error. The duality checks run on the default engine portfolio.
+// error. The duality checks run on one default-portfolio session per call,
+// so the checks of one mine share pinned scratch and the subinstance memo.
 func ComputeBordersContext(ctx context.Context, d *Dataset, z int) (*Borders, error) {
-	return ComputeBordersWith(ctx, d, z, engine.Default())
+	return ComputeBordersWith(ctx, d, z, engine.NewSession(nil))
 }
 
 // ComputeBordersWith is ComputeBordersContext with the duality engine chosen

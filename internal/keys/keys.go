@@ -206,17 +206,17 @@ func (r *Relation) AdditionalKey(known *hypergraph.Hypergraph) (*AdditionalKeyRe
 
 // AdditionalKeyContext is AdditionalKey with cancellation: the underlying
 // tree search polls ctx at every node (see core.TrSubsetContext). The
-// decision runs on the default engine portfolio; AdditionalKeyWith chooses.
+// decision runs on a one-shot memo-less session; AdditionalKeyWith takes a
+// long-lived one.
 func (r *Relation) AdditionalKeyContext(ctx context.Context, known *hypergraph.Hypergraph) (*AdditionalKeyResult, error) {
-	return r.AdditionalKeyWith(ctx, known, engine.Default())
+	return r.AdditionalKeyWith(ctx, known, engine.NewSessionMemo(nil, -1))
 }
 
-// AdditionalKeyWith is AdditionalKeyContext with a caller-chosen duality
-// engine. The question tr(D) ⊆ K is the raw tree stage, so engines without
-// the TrSubset capability fall back to the reference serial walker (see
-// engine.TrSubset); an engine.Session pins scratch across the incremental
-// calls of EnumerateKeysIncrementallyWith.
-func (r *Relation) AdditionalKeyWith(ctx context.Context, known *hypergraph.Hypergraph, eng engine.Engine) (*AdditionalKeyResult, error) {
+// AdditionalKeyWith is AdditionalKeyContext on a caller-held session. The
+// question tr(D) ⊆ K is the raw tree stage (Session.TrSubset), which every
+// engine would answer alike; the session pins scratch across the
+// incremental calls of EnumerateKeysIncrementallyWith.
+func (r *Relation) AdditionalKeyWith(ctx context.Context, known *hypergraph.Hypergraph, sess *engine.Session) (*AdditionalKeyResult, error) {
 	n := len(r.attrs)
 	if known.N() != n {
 		return nil, errors.New("keys: known-keys universe differs from attribute count")
@@ -251,7 +251,7 @@ func (r *Relation) AdditionalKeyWith(ctx context.Context, known *hypergraph.Hype
 		return &AdditionalKeyResult{NewKey: k, FoundNew: true}, nil
 	}
 
-	res, err := engine.TrSubset(ctx, eng, d, known)
+	res, err := sess.TrSubset(ctx, d, known)
 	if err != nil {
 		return nil, err
 	}
@@ -277,13 +277,13 @@ func (r *Relation) EnumerateKeysIncrementallyContext(ctx context.Context) (*hype
 }
 
 // EnumerateKeysIncrementallyWith is EnumerateKeysIncrementallyContext on a
-// caller-chosen engine (typically a long-lived engine.Session).
-func (r *Relation) EnumerateKeysIncrementallyWith(ctx context.Context, eng engine.Engine) (*hypergraph.Hypergraph, int, error) {
+// caller-held (typically long-lived) session.
+func (r *Relation) EnumerateKeysIncrementallyWith(ctx context.Context, sess *engine.Session) (*hypergraph.Hypergraph, int, error) {
 	known := hypergraph.New(len(r.attrs))
 	calls := 0
 	for {
 		calls++
-		res, err := r.AdditionalKeyWith(ctx, known, eng)
+		res, err := r.AdditionalKeyWith(ctx, known, sess)
 		if err != nil {
 			return nil, calls, err
 		}

@@ -256,7 +256,7 @@ func TestAdditionalKeyWithCancelledContext(t *testing.T) {
 	bogus.AddEdge(bitset.Full(4))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.AdditionalKeyWith(ctx, bogus, engine.Default()); !errors.Is(err, context.Canceled) {
+	if _, err := r.AdditionalKeyWith(ctx, bogus, engine.NewSession(nil)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("AdditionalKeyWith with cancelled ctx: got err %v, want context.Canceled", err)
 	}
 }

@@ -183,7 +183,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				emitRow(row)
 				return
 			}
-			dr := renderDecide(resp.Res, resp.G, resp.H, m.sy, resp.CacheHit, m.eng)
+			dr := renderDecide(resp.Res, resp.G, resp.H, m.sy, resp.Source != batch.SourceComputed, m.eng)
 			if resp.Deduped {
 				dr.Stats.MemoHits = 0
 			}
