@@ -260,6 +260,11 @@ func ComputeBordersStreamWith(ctx context.Context, d *Dataset, z int, eng engine
 	}
 
 	for {
+		// Most checks are settled by the engine's precheck, which polls
+		// nothing, so the loop itself must notice a cancelled caller.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		b.DualityChecks++
 		newMax, newMin, done, err := advance(ctx, d, z, b.MaxFrequent, b.MinInfrequent, eng)
 		if err != nil {

@@ -91,6 +91,29 @@ func TestComputeBordersStreamAbort(t *testing.T) {
 	}
 }
 
+// TestComputeBordersStreamCancel: a context cancelled from inside onFound
+// stops the loop before its next duality check, even when every check
+// would be settled by a precheck that never polls ctx.
+func TestComputeBordersStreamCancel(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	d := randomDataset(r, 8, 12)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	_, err := ComputeBordersStreamWith(ctx, d, 2, engine.Default(),
+		func(BorderEvent) error {
+			calls++
+			cancel()
+			return nil
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if calls != 1 {
+		t.Fatalf("onFound ran %d times after cancellation", calls)
+	}
+}
+
 // TestComputeBordersStreamDegenerate: the empty-itemset-infrequent case
 // still streams its single border element.
 func TestComputeBordersStreamDegenerate(t *testing.T) {

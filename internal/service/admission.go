@@ -145,8 +145,8 @@ func (s *Server) acquireCompute(ctx context.Context) (*engine.Session, error) {
 		return nil, err
 	}
 	s.decompositions.Add(1)
-	if s.testHookDecideStart != nil {
-		s.testHookDecideStart()
+	if s.testHookSlotAcquired != nil {
+		s.testHookSlotAcquired()
 	}
 	return sess, nil
 }
@@ -189,47 +189,102 @@ func statusOf(ctx context.Context, err error) int {
 	return http.StatusUnprocessableEntity
 }
 
-// fail answers a failed request with statusOf's status: sheds carry
-// Retry-After, sheds and timeouts are counted per endpoint, and a vanished
-// client gets nothing.
-func (s *Server) fail(w http.ResponseWriter, r *http.Request, ctx context.Context, err error) {
+// inSlot runs one slot-holding request: derive the endpoint's compute
+// budget (a malformed ?timeout_ms= is a 400), claim a worker slot under
+// admission control, and run the handler's work on the slot's session. A
+// failed admission or a non-nil error from run is answered by fail; a run
+// that returns nil has answered the request itself.
+func (s *Server) inSlot(w http.ResponseWriter, r *http.Request, budget time.Duration, run func(context.Context, *engine.Session) error) {
+	ctx, cancel, err := s.budgetCtx(r, budget)
+	if err != nil {
+		s.writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	defer cancel()
+	sess, err := s.acquire(ctx)
+	if err != nil {
+		s.fail(w, r, ctx, err)
+		return
+	}
+	// Deferred directly here, never behind a closure: release's recover
+	// only sees a panic when it is the deferred call itself.
+	defer s.release(sess)
+	if s.testHookSlotAcquired != nil {
+		s.testHookSlotAcquired()
+	}
+	if err := run(ctx, sess); err != nil {
+		s.fail(w, r, ctx, err)
+		return
+	}
+	if ai := accessFrom(r.Context()); ai.outcome == "" {
+		ai.outcome = "computed"
+	}
+}
+
+// classify attributes a failed request to statusOf's class and returns
+// that status: sheds and timeouts count under the endpoint's series, a
+// vanished client (status 0) under cancelled, and the access record takes
+// the class as its outcome. fail and streamEnd are its two callers, so an
+// HTTP error and a stream's terminal record are counted alike.
+func (s *Server) classify(r *http.Request, ctx context.Context, err error) int {
 	ai := accessFrom(r.Context())
-	switch status := statusOf(ctx, err); status {
+	status := statusOf(ctx, err)
+	switch status {
 	case http.StatusServiceUnavailable:
-		s.writeShed(w, r, err)
+		if c := s.obs.sheds[endpointOf(r.URL.Path)]; c != nil {
+			c.Add(1)
+		}
+		ai.outcome = "shed"
 	case http.StatusGatewayTimeout:
-		s.writeTimeout(w, r, err)
+		if c := s.obs.timeouts[endpointOf(r.URL.Path)]; c != nil {
+			c.Add(1)
+		}
+		ai.outcome = "timeout"
 	case http.StatusInternalServerError:
 		ai.outcome = "panic"
-		writeErrorReason(w, status, reasonPanic, err)
 	case 0:
 		s.cancelled.Add(1)
 		ai.outcome = "cancelled"
 	default:
 		ai.outcome = "error"
+	}
+	return status
+}
+
+// fail answers a failed request with statusOf's status: sheds carry
+// Retry-After, a vanished client gets nothing.
+func (s *Server) fail(w http.ResponseWriter, r *http.Request, ctx context.Context, err error) {
+	switch status := s.classify(r, ctx, err); status {
+	case 0: // no one to answer
+	case http.StatusUnprocessableEntity:
 		s.writeError(w, status, err)
+	case http.StatusServiceUnavailable:
+		w.Header().Set("Retry-After", s.retryAfter)
+		fallthrough
+	default:
+		writeErrorReason(w, status, reasonForStatus(status), err)
 	}
 }
 
-// writeShed renders the 503 + Retry-After shed response and counts it
-// under the endpoint's shed series.
-func (s *Server) writeShed(w http.ResponseWriter, r *http.Request, err error) {
-	if c := s.obs.sheds[endpointOf(r.URL.Path)]; c != nil {
-		c.Add(1)
-	}
-	accessFrom(r.Context()).outcome = "shed"
-	w.Header().Set("Retry-After", s.retryAfter)
-	writeErrorReason(w, http.StatusServiceUnavailable, reasonShed, err)
+// streamEnd classifies a stream that stopped on err after its status line
+// was sent. It returns the reason for the terminal record — the taxonomy
+// class of a panic, shed or timeout, empty for a semantic failure — and
+// live == false when the client is gone and no terminal record can reach
+// it.
+func (s *Server) streamEnd(r *http.Request, ctx context.Context, err error) (reason string, live bool) {
+	status := s.classify(r, ctx, err)
+	return inBandReason(status), status != 0
 }
 
-// writeTimeout renders the 504 budget-timeout response and counts it under
-// the endpoint's timeout series.
-func (s *Server) writeTimeout(w http.ResponseWriter, r *http.Request, err error) {
-	if c := s.obs.timeouts[endpointOf(r.URL.Path)]; c != nil {
-		c.Add(1)
+// inBandReason is the reason an in-band failure (a batch error row or a
+// terminal record) carries for statusOf's status: the resilience classes
+// name themselves, a semantic rejection carries none.
+func inBandReason(status int) string {
+	switch status {
+	case http.StatusInternalServerError, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+		return reasonForStatus(status)
 	}
-	accessFrom(r.Context()).outcome = "timeout"
-	writeErrorReason(w, http.StatusGatewayTimeout, reasonTimeout, err)
+	return ""
 }
 
 // budgetExpired reports whether ctx failed because its compute budget ran

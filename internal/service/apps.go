@@ -9,12 +9,15 @@ package service
 // readers.
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"strings"
 
 	"dualspace/internal/coterie"
+	"dualspace/internal/engine"
 	"dualspace/internal/hgio"
+	"dualspace/internal/hypergraph"
 	"dualspace/internal/itemsets"
 )
 
@@ -35,7 +38,6 @@ type bordersResponse struct {
 }
 
 func (s *Server) handleBorders(w http.ResponseWriter, r *http.Request) {
-	s.reqBorders.Add(1)
 	var req bordersRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -46,29 +48,19 @@ func (s *Server) handleBorders(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel, err := s.budgetCtx(r, s.cfg.AppsTimeout)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	sess, err := s.acquire(ctx)
-	if err != nil {
-		s.fail(w, r, ctx, err)
-		return
-	}
-	defer s.release(sess)
-	b, err := itemsets.ComputeBordersWith(ctx, d, req.Z, sess)
-	if err != nil {
-		s.fail(w, r, ctx, err)
-		return
-	}
-	writeJSON(w, bordersResponse{
-		MaxFrequent:   edgeNames(b.MaxFrequent.Canonical(), sy),
-		MinInfrequent: edgeNames(b.MinInfrequent.Canonical(), sy),
-		DualityChecks: b.DualityChecks,
-		Transactions:  d.NumRows(),
-		Items:         d.NumItems(),
+	s.inSlot(w, r, s.cfg.AppsTimeout, func(ctx context.Context, sess *engine.Session) error {
+		b, err := itemsets.ComputeBordersWith(ctx, d, req.Z, sess)
+		if err != nil {
+			return err
+		}
+		writeJSON(w, bordersResponse{
+			MaxFrequent:   edgeNames(b.MaxFrequent.Canonical(), sy),
+			MinInfrequent: edgeNames(b.MinInfrequent.Canonical(), sy),
+			DualityChecks: b.DualityChecks,
+			Transactions:  d.NumRows(),
+			Items:         d.NumItems(),
+		})
+		return nil
 	})
 }
 
@@ -89,7 +81,6 @@ type keysResponse struct {
 }
 
 func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
-	s.reqKeys.Add(1)
 	var req keysRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -101,55 +92,46 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	attrSym := hgio.NewSymbols(rel.Attrs()...)
-	ctx, cancel, err := s.budgetCtx(r, s.cfg.AppsTimeout)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	sess, err := s.acquire(ctx)
-	if err != nil {
-		s.fail(w, r, ctx, err)
-		return
-	}
-	defer s.release(sess)
-
-	if strings.TrimSpace(req.Known) == "" {
-		all, _, err := rel.EnumerateKeysIncrementallyWith(ctx, sess)
+	var known *hypergraph.Hypergraph
+	if strings.TrimSpace(req.Known) != "" {
+		hs, _, err := hgio.ParseHypergraphs(s.cfg.Limits, attrSym, req.Known)
+		if err == nil && attrSym.Len() > rel.NumAttrs() {
+			err = fmt.Errorf("unknown attribute %q in known keys", attrSym.Name(rel.NumAttrs()))
+		}
 		if err != nil {
-			s.fail(w, r, ctx, err)
+			s.writeError(w, http.StatusBadRequest, err)
 			return
 		}
-		writeJSON(w, keysResponse{Keys: edgeNames(all.Canonical(), attrSym), Complete: true})
-		return
+		known = hs[0]
 	}
-
-	hs, _, err := hgio.ParseHypergraphs(s.cfg.Limits, attrSym, req.Known)
-	if err == nil && attrSym.Len() > rel.NumAttrs() {
-		err = fmt.Errorf("unknown attribute %q in known keys", attrSym.Name(rel.NumAttrs()))
-	}
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	res, err := rel.AdditionalKeyWith(ctx, hs[0], sess)
-	if err != nil {
-		s.fail(w, r, ctx, err)
-		return
-	}
-	resp := keysResponse{
-		Complete: res.Complete,
-		Stats: decideStats{
-			Nodes:       res.DualityStats.Nodes,
-			Leaves:      res.DualityStats.Leaves,
-			MaxDepth:    res.DualityStats.MaxDepth,
-			MaxChildren: res.DualityStats.MaxChildren,
-		},
-	}
-	if res.FoundNew {
-		resp.NewKey = names(res.NewKey, attrSym)
-	}
-	writeJSON(w, resp)
+	s.inSlot(w, r, s.cfg.AppsTimeout, func(ctx context.Context, sess *engine.Session) error {
+		if known == nil {
+			all, _, err := rel.EnumerateKeysIncrementallyWith(ctx, sess)
+			if err != nil {
+				return err
+			}
+			writeJSON(w, keysResponse{Keys: edgeNames(all.Canonical(), attrSym), Complete: true})
+			return nil
+		}
+		res, err := rel.AdditionalKeyWith(ctx, known, sess)
+		if err != nil {
+			return err
+		}
+		resp := keysResponse{
+			Complete: res.Complete,
+			Stats: decideStats{
+				Nodes:       res.DualityStats.Nodes,
+				Leaves:      res.DualityStats.Leaves,
+				MaxDepth:    res.DualityStats.MaxDepth,
+				MaxChildren: res.DualityStats.MaxChildren,
+			},
+		}
+		if res.FoundNew {
+			resp.NewKey = names(res.NewKey, attrSym)
+		}
+		writeJSON(w, resp)
+		return nil
+	})
 }
 
 // coteriesRequest is the /v1/coteries body: quorums in the hgio edge
@@ -168,7 +150,6 @@ type coteriesResponse struct {
 }
 
 func (s *Server) handleCoteries(w http.ResponseWriter, r *http.Request) {
-	s.reqCoteries.Add(1)
 	var req coteriesRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -184,38 +165,27 @@ func (s *Server) handleCoteries(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusUnprocessableEntity, err)
 		return
 	}
-	ctx, cancel, err := s.budgetCtx(r, s.cfg.AppsTimeout)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	sess, err := s.acquire(ctx)
-	if err != nil {
-		s.fail(w, r, ctx, err)
-		return
-	}
-	defer s.release(sess)
-	resp := coteriesResponse{Quorums: c.NumQuorums(), Nodes: c.Universe()}
-	if req.Improve {
-		// One self-duality decomposition answers both questions: found is
-		// false exactly when the coterie is non-dominated.
-		dom, found, err := c.FindDominatingWith(ctx, sess)
-		if err != nil {
-			s.fail(w, r, ctx, err)
-			return
+	s.inSlot(w, r, s.cfg.AppsTimeout, func(ctx context.Context, sess *engine.Session) error {
+		resp := coteriesResponse{Quorums: c.NumQuorums(), Nodes: c.Universe()}
+		if req.Improve {
+			// One self-duality decomposition answers both questions: found
+			// is false exactly when the coterie is non-dominated.
+			dom, found, err := c.FindDominatingWith(ctx, sess)
+			if err != nil {
+				return err
+			}
+			resp.NonDominated = !found
+			if found {
+				resp.Dominating = edgeNames(dom.Hypergraph(), sy)
+			}
+		} else {
+			nd, err := c.IsNonDominatedWith(ctx, sess)
+			if err != nil {
+				return err
+			}
+			resp.NonDominated = nd
 		}
-		resp.NonDominated = !found
-		if found {
-			resp.Dominating = edgeNames(dom.Hypergraph(), sy)
-		}
-	} else {
-		nd, err := c.IsNonDominatedWith(ctx, sess)
-		if err != nil {
-			s.fail(w, r, ctx, err)
-			return
-		}
-		resp.NonDominated = nd
-	}
-	writeJSON(w, resp)
+		writeJSON(w, resp)
+		return nil
+	})
 }

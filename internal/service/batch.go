@@ -18,11 +18,9 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"dualspace/internal/batch"
-	"dualspace/internal/faultinject"
 	"dualspace/internal/hgio"
 )
 
@@ -93,7 +91,6 @@ type parsedRow struct {
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	s.reqBatch.Add(1)
 	parallelism := 0
 	if p := r.URL.Query().Get("parallelism"); p != "" {
 		n, err := strconv.Atoi(p)
@@ -112,9 +109,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer cancel()
 
+	// Fast rows coalesce into larger writes (a dedup-heavy batch completes
+	// rows in microseconds, and flushing each would cost a chunked write
+	// and a client-side chunk parse per row), while slow trickles still
+	// flush promptly for live progress. Write errors are dropped: a row
+	// that cannot reach the client is lost with the client.
+	st := newStream(w, r, 64, 2*time.Millisecond)
 	var src io.Reader = http.MaxBytesReader(w, r.Body, s.cfg.MaxBatchBytes)
-	rc := http.NewResponseController(w)
-	if rc.EnableFullDuplex() != nil {
+	if st.rc.EnableFullDuplex() != nil {
 		// The transport cannot interleave request reads with response
 		// writes (HTTP/1 without full-duplex support): slurp the — bounded
 		// — body up front so streaming responses cannot kill the parse.
@@ -128,41 +130,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(src)
 	dec.DisallowUnknownFields()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	streamDeadline := time.Now().Add(streamMaxDuration)
-	var writeMu sync.Mutex
-	var lastFlush time.Time
-	unflushed := 0
-	emitRow := func(v any) {
-		// Same stalled-client defense as /v1/transversals: bound every
-		// write and the stream as a whole. Flushing, however, is adaptive:
-		// a dedup-heavy batch completes rows in microseconds, and flushing
-		// each one would cost a chunked write (and a client-side chunk
-		// parse) per row — so fast rows coalesce into larger TCP writes,
-		// while slow trickles (and the terminal record, emitted last after
-		// this loop) still flush promptly for live progress.
-		if faultinject.Fire(ctx, faultinject.PointStreamWrite) != nil {
-			return // injected write failure: drop the row like a dead client
-		}
-		writeMu.Lock()
-		defer writeMu.Unlock()
-		now := time.Now()
-		d := now.Add(streamWriteTimeout)
-		if d.After(streamDeadline) {
-			d = streamDeadline
-		}
-		_ = rc.SetWriteDeadline(d)
-		if enc.Encode(v) != nil {
-			return
-		}
-		unflushed++
-		if unflushed >= 64 || now.Sub(lastFlush) > 2*time.Millisecond {
-			_ = rc.Flush()
-			unflushed, lastFlush = 0, now
-		}
-	}
-
 	reqs := make(chan batch.Request)
 	runDone := make(chan batch.RunStats, 1)
 	go func() {
@@ -175,24 +142,20 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				s.account(m.eng, resp.Source, resp.Err)
 			}
 			if resp.Err != nil {
-				row := batchErrorRow{Index: resp.Index, Error: resp.Err.Error()}
-				switch st := statusOf(ctx, resp.Err); st {
-				case http.StatusInternalServerError, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-					row.Reason = reasonForStatus(st)
-				}
-				emitRow(row)
+				_ = st.write(batchErrorRow{Index: resp.Index, Error: resp.Err.Error(),
+					Reason: inBandReason(statusOf(ctx, resp.Err))})
 				return
 			}
 			dr := renderDecide(resp.Res, resp.G, resp.H, m.sy, resp.Source != batch.SourceComputed, m.eng)
 			if resp.Deduped {
 				dr.Stats.MemoHits = 0
 			}
-			emitRow(batchItemResponse{Index: resp.Index, decideResponse: dr, Deduped: resp.Deduped})
+			_ = st.write(batchItemResponse{Index: resp.Index, decideResponse: dr, Deduped: resp.Deduped})
 		})
 	}()
 
 	idx, parseErrors := 0, 0
-	var streamErr, streamReason string
+	var streamErr error
 	truncated := false
 	parsedTexts := make(map[decideRequest]*parsedRow)
 	for {
@@ -200,7 +163,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			// Drain began mid-batch: stop taking rows; dispatched work
 			// finishes, the terminal record carries the shed taxonomy, and
 			// the client re-submits the remainder elsewhere.
-			streamErr, streamReason = errDraining.Error(), reasonShed
+			streamErr = errDraining
 			break
 		}
 		var row decideRequest
@@ -211,7 +174,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			// Framing is gone (or the body bound tripped): no further rows
 			// can be attributed to indices, so end the stream in-band.
-			streamErr = err.Error()
+			streamErr = err
 			break
 		}
 		if idx >= s.cfg.MaxBatchItems {
@@ -229,7 +192,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			parsedTexts[row] = pr
 		}
 		if pr.errText != "" {
-			emitRow(batchErrorRow{Index: idx, Error: pr.errText})
+			_ = st.write(batchErrorRow{Index: idx, Error: pr.errText})
 			parseErrors++
 			idx++
 			continue
@@ -245,33 +208,29 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		idx++
 	}
 	close(reqs)
-	st := <-runDone
+	run := <-runDone
 
-	if budgetExpired(ctx) {
-		if c := s.obs.timeouts["batch"]; c != nil {
-			c.Add(1)
-		}
-		accessFrom(r.Context()).outcome = "timeout"
-		streamErr, streamReason = context.Cause(ctx).Error(), reasonTimeout
-	} else if r.Context().Err() != nil {
-		s.cancelled.Add(1)
-		return // client gone; no terminal record can reach it
-	} else if streamReason == reasonShed {
-		if c := s.obs.sheds["batch"]; c != nil {
-			c.Add(1)
-		}
-		accessFrom(r.Context()).outcome = "shed"
+	if ctx.Err() != nil {
+		// An expired budget or a vanished client explains the end of the
+		// batch better than whatever stopped the intake loop.
+		streamErr = context.Cause(ctx)
 	}
-	emitRow(batchEndRecord{
-		Done:      streamErr == "",
-		Items:     st.Items + parseErrors,
-		Unique:    st.Unique,
-		Deduped:   st.Deduped,
-		CacheHits: st.CacheHits,
-		Decisions: st.Decisions,
-		Errors:    st.Errors + parseErrors,
+	end := batchEndRecord{
+		Done:      streamErr == nil,
+		Items:     run.Items + parseErrors,
+		Unique:    run.Unique,
+		Deduped:   run.Deduped,
+		CacheHits: run.CacheHits,
+		Decisions: run.Decisions,
+		Errors:    run.Errors + parseErrors,
 		Truncated: truncated,
-		Error:     streamErr,
-		Reason:    streamReason,
-	})
+	}
+	if streamErr != nil {
+		reason, live := s.streamEnd(r, ctx, streamErr)
+		if !live {
+			return
+		}
+		end.Error, end.Reason = streamErr.Error(), reason
+	}
+	_ = st.write(end)
 }

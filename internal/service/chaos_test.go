@@ -11,7 +11,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -45,7 +47,7 @@ func blockWorker(t *testing.T, s *Server, ts *httptest.Server) (release func()) 
 	t.Helper()
 	started := make(chan struct{})
 	var once sync.Once
-	s.testHookDecideStart = func() { once.Do(func() { close(started) }) }
+	s.testHookSlotAcquired = func() { once.Do(func() { close(started) }) }
 	g, h := matchingText(12)
 	body, _ := json.Marshal(map[string]any{"g": g, "h": h})
 	ctx, cancel := context.WithCancel(context.Background())
@@ -310,7 +312,7 @@ func TestDrainInFlightCompletes(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, CacheSize: -1})
 	started := make(chan struct{})
 	var once sync.Once
-	s.testHookDecideStart = func() { once.Do(func() { close(started) }) }
+	s.testHookSlotAcquired = func() { once.Do(func() { close(started) }) }
 	g, h := matchingText(8)
 	type result struct {
 		code int
@@ -333,51 +335,226 @@ func TestDrainInFlightCompletes(t *testing.T) {
 	}
 }
 
-// TestDrainMidStreamTransversals: a drain beginning mid-stream ends
-// /v1/transversals with a clean shed terminal record — valid NDJSON to the
-// last line, so the client knows to re-submit elsewhere — instead of a cut
-// socket.
-func TestDrainMidStreamTransversals(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
-	armFaults(t, "stream_write:delay=5ms")
-	g, _ := matchingText(10) // 2^10 transversals: far more than drain latency
-	buf, _ := json.Marshal(map[string]any{"h": g})
-	resp, err := http.Post(ts.URL+"/v1/transversals", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		t.Fatal(err)
+// syncBuffer is an access-log sink safe for the server's concurrent
+// handler goroutines.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// record returns the access-log record of the first request to path, or
+// nil if none has been logged yet.
+func (b *syncBuffer) record(t *testing.T, path string) map[string]any {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	dec := json.NewDecoder(bytes.NewReader(b.buf.Bytes()))
+	for dec.More() {
+		var rec map[string]any
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatalf("access log is not JSON lines: %v", err)
+		}
+		if rec["path"] == path {
+			return rec
+		}
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("status = %d", resp.StatusCode)
+	return nil
+}
+
+// TestStreamEndings: every streaming endpoint ends a stream that has
+// already written records the same way. Drain and an expired budget end it
+// with a terminal record whose reason names the class, counted under the
+// endpoint's shed or timeout series; a client that hangs up gets no
+// terminal record and is counted as cancelled. The access log carries the
+// same class as its outcome. Writes are slowed so each ending lands
+// mid-stream; the batch body arrives through a pipe so its intake is still
+// open when the ending begins.
+func TestStreamEndings(t *testing.T) {
+	g10, _ := matchingText(10) // 2^10 transversals
+	// Ten transactions, each missing one of ten items, at z = 1: every
+	// 8-itemset is maximal frequent and every 9-itemset minimal infrequent,
+	// 55 border elements in all.
+	var data strings.Builder
+	for i := 0; i < 10; i++ {
+		for j := 0; j < 10; j++ {
+			if j != i {
+				fmt.Fprintf(&data, "i%d ", j)
+			}
+		}
+		data.WriteString("\n")
 	}
-	sc := bufio.NewScanner(resp.Body)
-	if !sc.Scan() {
-		t.Fatalf("no first record: %v", sc.Err())
+	jsonLine := func(v any) string {
+		b, _ := json.Marshal(v)
+		return string(b) + "\n"
 	}
-	s.BeginDrain()
-	var last string
-	records := 1
-	for sc.Scan() {
-		last = sc.Text()
-		records++
+	endpoints := []struct {
+		name, path string
+		// body is sent whole; a batch instead sends rows[0] and keeps its
+		// body open, feeding rows[1] when the case asks for more input.
+		body string
+		rows []string
+	}{
+		{name: "transversals", path: "/v1/transversals", body: jsonLine(map[string]any{"h": g10})},
+		{name: "mine", path: "/v1/mine", body: jsonLine(map[string]any{"data": data.String(), "z": 1})},
+		{name: "batch", path: "/v1/batch", rows: []string{
+			jsonLine(map[string]any{"g": gDual, "h": hDual}),
+			jsonLine(map[string]any{"g": gDual, "h": hNonDual}),
+		}},
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("stream broke instead of ending cleanly: %v (after %d records)", err, records)
+	cases := []struct {
+		name    string
+		query   string
+		outcome string // access-log outcome; also the terminal reason unless "cancelled"
+	}{
+		{name: "drain", outcome: reasonShed},
+		{name: "timeout", query: "?timeout_ms=100", outcome: reasonTimeout},
+		{name: "client_gone", outcome: "cancelled"},
 	}
-	var term struct {
-		Done   bool   `json:"done"`
-		Error  string `json:"error"`
-		Reason string `json:"reason"`
-		Count  int    `json:"count"`
+	for _, ep := range endpoints {
+		for _, tc := range cases {
+			t.Run(ep.name+"/"+tc.name, func(t *testing.T) {
+				logs := &syncBuffer{}
+				s, ts := newTestServer(t, Config{Workers: 1, Logger: slog.New(slog.NewJSONHandler(logs, nil))})
+				armFaults(t, "stream_write:delay=5ms")
+
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				var body io.Reader = strings.NewReader(ep.body)
+				more, closeInput := func() {}, func() {}
+				if ep.rows != nil {
+					pr, pw := io.Pipe()
+					body = pr
+					go io.WriteString(pw, ep.rows[0])
+					more = func() { io.WriteString(pw, ep.rows[1]) }
+					closeInput = func() { pw.Close() }
+					defer pw.Close()
+				}
+				req, err := http.NewRequestWithContext(ctx, "POST", ts.URL+ep.path+tc.query, body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode != 200 {
+					t.Fatalf("status = %d", resp.StatusCode)
+				}
+				sc := bufio.NewScanner(resp.Body)
+				if !sc.Scan() {
+					t.Fatalf("no first record: %v", sc.Err())
+				}
+
+				switch tc.name {
+				case "drain":
+					s.BeginDrain()
+					more()
+				case "timeout":
+					time.Sleep(200 * time.Millisecond)
+					closeInput()
+				case "client_gone":
+					cancel()
+				}
+				if tc.name != "client_gone" {
+					var last string
+					for sc.Scan() {
+						last = sc.Text()
+					}
+					if err := sc.Err(); err != nil {
+						t.Fatalf("stream broke instead of ending cleanly: %v", err)
+					}
+					var term struct {
+						Done   bool   `json:"done"`
+						Error  string `json:"error"`
+						Reason string `json:"reason"`
+					}
+					if err := json.Unmarshal([]byte(last), &term); err != nil {
+						t.Fatalf("terminal line is not JSON: %q", last)
+					}
+					if term.Done || term.Reason != tc.outcome || term.Error == "" {
+						t.Fatalf("terminal record = %s, want reason %q", last, tc.outcome)
+					}
+				}
+
+				// The access record is logged once the handler returns,
+				// which for a vanished client is some time after the hang-up.
+				var rec map[string]any
+				for deadline := time.Now().Add(10 * time.Second); rec == nil; time.Sleep(5 * time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Fatal("no access-log record for the stream")
+					}
+					rec = logs.record(t, ep.path)
+				}
+				if rec["outcome"] != tc.outcome {
+					t.Errorf("access-log outcome = %v, want %s", rec["outcome"], tc.outcome)
+				}
+				samples, _ := scrapeMetrics(t, ts.URL)
+				label := `endpoint="` + ep.name + `"`
+				want := map[string]float64{"dualspace_sheds_total": 0, "dualspace_timeouts_total": 0, "dualspace_cancelled_total": 0}
+				switch tc.outcome {
+				case reasonShed:
+					want["dualspace_sheds_total"] = 1
+				case reasonTimeout:
+					want["dualspace_timeouts_total"] = 1
+				default:
+					want["dualspace_cancelled_total"] = 1
+				}
+				for name, w := range want {
+					frags := []string{label}
+					if name == "dualspace_cancelled_total" {
+						frags = nil
+					}
+					if got, _ := find(samples, name, frags...); got != w {
+						t.Errorf("%s = %v, want %v", name, got, w)
+					}
+				}
+			})
+		}
 	}
-	if err := json.Unmarshal([]byte(last), &term); err != nil {
-		t.Fatalf("terminal line is not JSON: %q", last)
+}
+
+// TestStreamFailsBeforeFirstRecord: a stream that fails before writing
+// its first record still owns its status line, so the failure is an
+// ordinary HTTP error — 503 + Retry-After for drain, 504 for an expired
+// budget — not a 200 whose only line is a terminal record. The slot hook
+// drains the server, or outwaits the budget, after admission and before
+// the first record.
+func TestStreamFailsBeforeFirstRecord(t *testing.T) {
+	mine := map[string]any{"data": "milk bread\nmilk bread\nbeer\n", "z": 1}
+	cases := []struct {
+		name, path, query string
+		body              any
+		hook              func(s *Server)
+		status            int
+	}{
+		{"transversals/drain", "/v1/transversals", "", map[string]any{"h": gDual}, (*Server).BeginDrain, http.StatusServiceUnavailable},
+		{"transversals/timeout", "/v1/transversals", "?timeout_ms=5", map[string]any{"h": gDual},
+			func(*Server) { time.Sleep(50 * time.Millisecond) }, http.StatusGatewayTimeout},
+		{"mine/drain", "/v1/mine", "", mine, (*Server).BeginDrain, http.StatusServiceUnavailable},
 	}
-	if term.Done || term.Reason != reasonShed || term.Error == "" {
-		t.Fatalf("terminal record = %+v, want shed taxonomy", term)
-	}
-	if term.Count >= 1<<10 {
-		t.Fatalf("count = %d: stream finished before drain could interrupt it", term.Count)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{})
+			s.testHookSlotAcquired = func() { tc.hook(s) }
+			resp := postRaw(t, ts.URL+tc.path+tc.query, tc.body)
+			defer resp.Body.Close()
+			var out map[string]any
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != tc.status || out["reason"] != reasonForStatus(tc.status) {
+				t.Fatalf("status = %d, body = %v; want %d", resp.StatusCode, out, tc.status)
+			}
+			if tc.status == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") == "" {
+				t.Error("shed answer without Retry-After")
+			}
+		})
 	}
 }
 

@@ -34,7 +34,6 @@ import (
 // compute (it is the owner) or the caller's problem, never a third
 // replica's.
 func (s *Server) handleClusterVerdict(w http.ResponseWriter, r *http.Request) {
-	s.reqCluster.Add(1)
 	ctx, cancel, err := s.budgetCtx(r, s.cfg.DecideTimeout)
 	if err != nil {
 		accessFrom(r.Context()).outcome = "error"

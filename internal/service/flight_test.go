@@ -19,7 +19,7 @@ func TestDecideCoalescesStampede(t *testing.T) {
 	const clients = 8
 
 	release := make(chan struct{})
-	s.testHookDecideStart = func() { <-release }
+	s.testHookSlotAcquired = func() { <-release }
 
 	g, h := matchingText(4)
 	body, err := json.Marshal(map[string]any{"g": g, "h": h})

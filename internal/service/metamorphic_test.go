@@ -166,7 +166,7 @@ func TestServingPathsAgree(t *testing.T) {
 		// The first query as a held stampede: one request computes, the two
 		// others coalesce onto its flight.
 		hold := make(chan struct{})
-		s.testHookDecideStart = func() { <-hold }
+		s.testHookSlotAcquired = func() { <-hold }
 		var wg sync.WaitGroup
 		for c := 0; c < 3; c++ {
 			wg.Add(1)

@@ -10,14 +10,10 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"net/http"
-	"time"
 
 	"dualspace/internal/core"
 	"dualspace/internal/engine"
-	"dualspace/internal/faultinject"
 	"dualspace/internal/hgio"
 	"dualspace/internal/hypergraph"
 	"dualspace/internal/itemsets"
@@ -70,7 +66,6 @@ type mineEndRecord struct {
 }
 
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
-	s.reqMine.Add(1)
 	var req mineRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -86,111 +81,63 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx, cancel, err := s.budgetCtx(r, s.cfg.MineTimeout)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
-	sess, err := s.acquire(ctx)
-	if err != nil {
-		s.fail(w, r, ctx, err)
-		return
-	}
-	defer s.release(sess)
-	// Route the loop's duality checks through the worker slot's session
-	// (pinned scratch + memo — the loop's many small, related instances are
-	// exactly the memo's access pattern); an explicit engine choice runs on
-	// the same session through the sessionEngine adapter.
-	loopEngine := engine.Engine(sess)
-	if req.Engine != "" {
-		loopEngine = sessionEngine{sess: sess, eng: eng}
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	streamDeadline := time.Now().Add(streamMaxDuration)
-	emit := func(rec any) error {
-		if err := faultinject.Fire(ctx, faultinject.PointStreamWrite); err != nil {
-			return err
+	s.inSlot(w, r, s.cfg.MineTimeout, func(ctx context.Context, sess *engine.Session) error {
+		// Route the loop's duality checks through the worker slot's session
+		// (pinned scratch + memo — the loop's many small, related instances
+		// are exactly the memo's access pattern); an explicit engine choice
+		// runs on the same session through the sessionEngine adapter.
+		loopEngine := engine.Engine(sess)
+		if req.Engine != "" {
+			loopEngine = sessionEngine{sess: sess, eng: eng}
 		}
-		d := time.Now().Add(streamWriteTimeout)
-		if d.After(streamDeadline) {
-			d = streamDeadline
-		}
-		_ = rc.SetWriteDeadline(d)
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-		_ = rc.Flush()
-		return nil
-	}
-
-	maxCount, minCount, lastCheck := 0, 0, 0
-	b, err := itemsets.ComputeBordersStreamWith(ctx, d, req.Z, loopEngine,
-		func(ev itemsets.BorderEvent) error {
-			if s.draining.Load() {
-				// Cut the mine short with a clean shed terminal record; the
-				// client retries against another replica.
-				return errDraining
+		st := newStream(w, r, 1, 0)
+		maxCount, lastCheck := 0, 0
+		b, err := itemsets.ComputeBordersStreamWith(ctx, d, req.Z, loopEngine,
+			func(ev itemsets.BorderEvent) error {
+				if s.draining.Load() {
+					// Cut the mine short with the shed taxonomy; the client
+					// retries against another replica.
+					return errDraining
+				}
+				rec := mineRecord{Check: ev.DualityChecks}
+				set := names(ev.Set, sy)
+				if ev.MaxFrequent {
+					rec.MaxFrequent = &set
+				} else {
+					rec.MinInfrequent = &set
+				}
+				if err := st.write(rec); err != nil {
+					return err // client write failed: abort the mining
+				}
+				if ev.MaxFrequent {
+					maxCount++
+				}
+				lastCheck = ev.DualityChecks
+				return nil
+			})
+		n := st.written
+		s.minedElements.Add(int64(n))
+		if err != nil {
+			if n == 0 {
+				return err // nothing streamed yet: the status line can still say why
 			}
-			rec := mineRecord{Check: ev.DualityChecks}
-			set := names(ev.Set, sy)
-			if ev.MaxFrequent {
-				rec.MaxFrequent = &set
-			} else {
-				rec.MinInfrequent = &set
+			if reason, live := s.streamEnd(r, ctx, err); live {
+				_ = st.write(mineEndRecord{
+					Error:         err.Error(),
+					Reason:        reason,
+					MaxFrequent:   maxCount,
+					MinInfrequent: n - maxCount,
+					DualityChecks: lastCheck,
+				})
 			}
-			if err := emit(rec); err != nil {
-				return err // client write failed: abort the mining
-			}
-			if ev.MaxFrequent {
-				maxCount++
-			} else {
-				minCount++
-			}
-			lastCheck = ev.DualityChecks
 			return nil
-		})
-	s.minedElements.Add(int64(maxCount + minCount))
-	if err != nil {
-		endReason := ""
-		switch {
-		case errors.Is(err, errDraining):
-			if c := s.obs.sheds["mine"]; c != nil {
-				c.Add(1)
-			}
-			accessFrom(r.Context()).outcome = "shed"
-			endReason = reasonShed
-		case budgetExpired(ctx):
-			if c := s.obs.timeouts["mine"]; c != nil {
-				c.Add(1)
-			}
-			accessFrom(r.Context()).outcome = "timeout"
-			endReason = reasonTimeout
-		case r.Context().Err() != nil:
-			s.cancelled.Add(1)
-			return // client is gone; no terminal record can reach it
 		}
-		if maxCount+minCount == 0 && endReason == "" {
-			// Nothing streamed yet: a proper HTTP error is still possible.
-			s.writeError(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-		_ = emit(mineEndRecord{
-			Error:         err.Error(),
-			Reason:        endReason,
-			MaxFrequent:   maxCount,
-			MinInfrequent: minCount,
-			DualityChecks: lastCheck,
+		_ = st.write(mineEndRecord{
+			Done:          true,
+			MaxFrequent:   b.MaxFrequent.M(),
+			MinInfrequent: b.MinInfrequent.M(),
+			DualityChecks: b.DualityChecks,
 		})
-		return
-	}
-	_ = emit(mineEndRecord{
-		Done:          true,
-		MaxFrequent:   b.MaxFrequent.M(),
-		MinInfrequent: b.MinInfrequent.M(),
-		DualityChecks: b.DualityChecks,
+		return nil
 	})
 }

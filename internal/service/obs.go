@@ -31,8 +31,8 @@ import (
 )
 
 // endpointNames are the label values of the per-endpoint series, in
-// exposition order. Unknown paths fall under "other" (latency only — they
-// never reach a handler counter).
+// exposition order; every path endpointOf maps lands on one of them, and
+// unknown paths fall under "other".
 var endpointNames = []string{
 	"decide", "cluster", "batch", "mine", "transversals", "borders", "keys",
 	"coteries", "healthz", "readyz", "statsz", "metricsz", "other",
@@ -46,33 +46,18 @@ var workEndpoints = []string{
 	"coteries",
 }
 
+// endpointPaths maps each served path to its endpoint label.
+var endpointPaths = map[string]string{
+	"/v1/decide": "decide", "/v1/cluster/verdict": "cluster", "/v1/batch": "batch",
+	"/v1/mine": "mine", "/v1/transversals": "transversals", "/v1/borders": "borders",
+	"/v1/keys": "keys", "/v1/coteries": "coteries", "/healthz": "healthz",
+	"/readyz": "readyz", "/statsz": "statsz", "/metricsz": "metricsz",
+}
+
 // endpointOf maps a request path to its endpoint label.
 func endpointOf(path string) string {
-	switch path {
-	case "/v1/decide":
-		return "decide"
-	case "/v1/cluster/verdict":
-		return "cluster"
-	case "/v1/batch":
-		return "batch"
-	case "/v1/mine":
-		return "mine"
-	case "/v1/transversals":
-		return "transversals"
-	case "/v1/borders":
-		return "borders"
-	case "/v1/keys":
-		return "keys"
-	case "/v1/coteries":
-		return "coteries"
-	case "/healthz":
-		return "healthz"
-	case "/readyz":
-		return "readyz"
-	case "/statsz":
-		return "statsz"
-	case "/metricsz":
-		return "metricsz"
+	if ep, ok := endpointPaths[path]; ok {
+		return ep
 	}
 	return "other"
 }
@@ -119,23 +104,11 @@ func (s *Server) initObs(logger *slog.Logger) {
 	for _, ep := range endpointNames {
 		o.endpoints[ep] = &endpointObs{
 			requests: reg.Counter("dualspace_http_requests_total",
-				"HTTP requests dispatched, by endpoint.", obs.L("endpoint", ep)),
+				"HTTP requests received, by endpoint.", obs.L("endpoint", ep)),
 			latency: reg.Histogram("dualspace_http_request_duration_seconds",
 				"HTTP request latency, by endpoint.", obs.L("endpoint", ep)),
 		}
 	}
-	s.reqDecide = o.endpoints["decide"].requests
-	s.reqCluster = o.endpoints["cluster"].requests
-	s.reqBatch = o.endpoints["batch"].requests
-	s.reqMine = o.endpoints["mine"].requests
-	s.reqTransversals = o.endpoints["transversals"].requests
-	s.reqBorders = o.endpoints["borders"].requests
-	s.reqKeys = o.endpoints["keys"].requests
-	s.reqCoteries = o.endpoints["coteries"].requests
-	s.reqHealth = o.endpoints["healthz"].requests
-	s.reqReady = o.endpoints["readyz"].requests
-	s.reqStats = o.endpoints["statsz"].requests
-	s.reqMetrics = o.endpoints["metricsz"].requests
 
 	for _, ep := range workEndpoints {
 		o.sheds[ep] = reg.Counter("dualspace_sheds_total",
@@ -339,7 +312,6 @@ func (s *Server) initObs(logger *slog.Logger) {
 // handleMetrics renders the registry in the Prometheus text exposition
 // format (version 0.0.4).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.reqMetrics.Add(1)
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.obs.reg.WritePrometheus(w)
 }
@@ -411,12 +383,14 @@ func (w *statusWriter) Write(p []byte) (int, error) {
 
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// observeRequest is the ServeHTTP middleware tail: endpoint latency, and
-// one structured access-log record when logging is on.
+// observeRequest is the ServeHTTP middleware tail: the endpoint's request
+// count and latency, side by side so the two series agree for every
+// request the server received (404s and 405s included), and one
+// structured access-log record when logging is on.
 func (s *Server) observeRequest(r *http.Request, ep string, sw *statusWriter, ai *accessInfo, d time.Duration) {
-	if eo := s.obs.endpoints[ep]; eo != nil {
-		eo.latency.Observe(d)
-	}
+	eo := s.obs.endpoints[ep]
+	eo.requests.Add(1)
+	eo.latency.Observe(d)
 	lg := s.obs.logger
 	if lg == nil {
 		return

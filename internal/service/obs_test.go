@@ -294,8 +294,32 @@ func TestStatszMetricszAgree(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		post(t, ts.URL+"/v1/decide", map[string]any{"g": gDual, "h": hDual})
 	}
-	stats := getJSON(t, ts.URL+"/statsz")
+	// A 404 and a 405 never reach a handler, but they were received: both
+	// series count them.
+	for _, u := range []string{"/no/such/path", "/v1/decide"} {
+		resp, err := http.Get(ts.URL + u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	// Scrape before /statsz so every request counted so far has finished:
+	// the in-flight scrape is in neither series.
 	samples, _ := scrapeMetrics(t, ts.URL)
+	stats := getJSON(t, ts.URL+"/statsz")
+
+	for _, ep := range endpointNames {
+		label := `endpoint="` + ep + `"`
+		reqs, _ := find(samples, "dualspace_http_requests_total", label)
+		lat, _ := find(samples, "dualspace_http_request_duration_seconds_count", label)
+		if reqs != lat {
+			t.Errorf("%s: requests_total = %v, request_duration_seconds_count = %v", ep, reqs, lat)
+		}
+	}
+	if v, _ := find(samples, "dualspace_http_requests_total", `endpoint="other"`); v != 1 {
+		t.Errorf("other requests = %v, want the one 404", v)
+	}
 
 	reqs := stats["requests"].(map[string]any)
 	if v, _ := find(samples, "dualspace_http_requests_total", `endpoint="decide"`); v != reqs["decide"].(float64) {

@@ -200,28 +200,16 @@ type Server struct {
 	// /metricsz exposes, so the two surfaces can never disagree.
 	obs *serverObs
 
-	reqDecide       *obs.Counter
-	reqCluster      *obs.Counter
-	reqBatch        *obs.Counter
-	reqMine         *obs.Counter
-	reqTransversals *obs.Counter
-	reqBorders      *obs.Counter
-	reqKeys         *obs.Counter
-	reqCoteries     *obs.Counter
-	reqHealth       *obs.Counter
-	reqReady        *obs.Counter
-	reqStats        *obs.Counter
-	reqMetrics      *obs.Counter
-	inFlight        *obs.Gauge
-	cacheHits       *obs.Counter
-	cacheMisses     *obs.Counter
-	decompositions  *obs.Counter
-	cancelled       *obs.Counter
-	badRequests     *obs.Counter
-	streamedSets    *obs.Counter
-	minedElements   *obs.Counter
-	coalesced       *obs.Counter
-	panics          *obs.Counter
+	inFlight       *obs.Gauge
+	cacheHits      *obs.Counter
+	cacheMisses    *obs.Counter
+	decompositions *obs.Counter
+	cancelled      *obs.Counter
+	badRequests    *obs.Counter
+	streamedSets   *obs.Counter
+	minedElements  *obs.Counter
+	coalesced      *obs.Counter
+	panics         *obs.Counter
 
 	// Resilience state (admission.go): queueWaiters is the live admission
 	// queue occupancy; drainCh closes when BeginDrain runs so parked
@@ -249,11 +237,11 @@ type Server struct {
 	logReplayed          atomic.Int64
 	closeOnce            sync.Once
 
-	// testHookDecideStart, when non-nil, runs right after a verdict compute
-	// has claimed a worker slot (acquireCompute) and before the
-	// decomposition starts; tests use it to cancel in-flight requests
+	// testHookSlotAcquired, when non-nil, runs right after a request has
+	// claimed a worker slot (acquireCompute, inSlot) and before its work
+	// starts; tests use it to cancel or drain in-flight requests
 	// deterministically.
-	testHookDecideStart func()
+	testHookSlotAcquired func()
 }
 
 // New returns a Server with defaults applied to the zero fields of cfg.
@@ -407,7 +395,7 @@ type errorResponse struct {
 // writeError renders a request-class JSON error with the status matching
 // the failure: 413 for input-limit violations (hgio limits and the body
 // bound alike), the given status otherwise. The resilience outcomes —
-// shed, timeout, panic — have their own writers (admission.go) and are not
+// shed, timeout, panic — are answered by fail (admission.go) and are not
 // counted as bad requests.
 func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
 	s.badRequests.Add(1)
@@ -600,7 +588,6 @@ type healthResponse struct {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.reqHealth.Add(1)
 	writeJSON(w, healthResponse{
 		OK:            true,
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -618,7 +605,6 @@ type readyResponse struct {
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	s.reqReady.Add(1)
 	if s.draining.Load() {
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusServiceUnavailable)
@@ -629,25 +615,25 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.reqStats.Add(1)
 	var resp statsResponse
 	resp.UptimeSeconds = time.Since(s.start).Seconds()
 	resp.GoVersion = runtime.Version()
 	resp.GitRevision = obs.GitRevision()
 	resp.InFlight = s.inFlight.Load()
 	resp.Workers = s.cfg.Workers
-	resp.Requests.Decide = s.reqDecide.Load()
-	resp.Requests.Cluster = s.reqCluster.Load()
-	resp.Requests.Batch = s.reqBatch.Load()
-	resp.Requests.Mine = s.reqMine.Load()
-	resp.Requests.Transversals = s.reqTransversals.Load()
-	resp.Requests.Borders = s.reqBorders.Load()
-	resp.Requests.Keys = s.reqKeys.Load()
-	resp.Requests.Coteries = s.reqCoteries.Load()
-	resp.Requests.Health = s.reqHealth.Load()
-	resp.Requests.Ready = s.reqReady.Load()
-	resp.Requests.Stats = s.reqStats.Load()
-	resp.Requests.Metrics = s.reqMetrics.Load()
+	reqs := func(ep string) int64 { return s.obs.endpoints[ep].requests.Load() }
+	resp.Requests.Decide = reqs("decide")
+	resp.Requests.Cluster = reqs("cluster")
+	resp.Requests.Batch = reqs("batch")
+	resp.Requests.Mine = reqs("mine")
+	resp.Requests.Transversals = reqs("transversals")
+	resp.Requests.Borders = reqs("borders")
+	resp.Requests.Keys = reqs("keys")
+	resp.Requests.Coteries = reqs("coteries")
+	resp.Requests.Health = reqs("healthz")
+	resp.Requests.Ready = reqs("readyz")
+	resp.Requests.Stats = reqs("statsz")
+	resp.Requests.Metrics = reqs("metricsz")
 	resp.Cache.Hits = s.cacheHits.Load()
 	resp.Cache.Misses = s.cacheMisses.Load()
 	resp.Cache.Size = s.cache.Len()
@@ -822,7 +808,6 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (q batch.Qu
 }
 
 func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
-	s.reqDecide.Add(1)
 	start := time.Now()
 	ctx, cancel, err := s.budgetCtx(r, s.cfg.DecideTimeout)
 	if err != nil {

@@ -537,7 +537,7 @@ func TestDecideCancellation(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	started := make(chan struct{})
 	var once sync.Once
-	s.testHookDecideStart = func() { once.Do(func() { close(started) }) }
+	s.testHookSlotAcquired = func() { once.Do(func() { close(started) }) }
 
 	g, h := matchingText(12) // |H| = 4096: far more work than the cancel latency
 	body, _ := json.Marshal(map[string]any{"g": g, "h": h})

@@ -8,11 +8,14 @@ package service
 // error path EnumerateContext's fallible yield exists for.
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
+	"sync"
 	"time"
 
 	"dualspace/internal/bitset"
+	"dualspace/internal/engine"
 	"dualspace/internal/faultinject"
 	"dualspace/internal/hgio"
 	"dualspace/internal/transversal"
@@ -27,6 +30,70 @@ const (
 	streamWriteTimeout = 30 * time.Second
 	streamMaxDuration  = 10 * time.Minute
 )
+
+// ndjsonStream is the one NDJSON response writer of the streaming
+// endpoints. Every write fires the stream_write fault point (a slow or
+// failing client-facing write), bounds itself by streamWriteTimeout clamped
+// to the stream's streamMaxDuration deadline, and encodes under a mutex, so
+// concurrent producers (the batch drain workers) interleave whole records.
+// Flushing coalesces: the stream flushes once flushEvery records are
+// unflushed or flushAfter has passed since the last flush, so flushEvery 1
+// flushes every record.
+type ndjsonStream struct {
+	ctx        context.Context
+	rc         *http.ResponseController
+	enc        *json.Encoder
+	deadline   time.Time
+	flushEvery int
+	flushAfter time.Duration
+
+	mu        sync.Mutex
+	written   int // records encoded so far
+	unflushed int
+	lastFlush time.Time
+}
+
+// newStream starts an NDJSON response on w. Write faults fire under the
+// request's own context: they model the client connection, which outlives
+// the compute budget, so a stream whose budget expired still gets its
+// terminal record.
+func newStream(w http.ResponseWriter, r *http.Request, flushEvery int, flushAfter time.Duration) *ndjsonStream {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	return &ndjsonStream{
+		ctx:        r.Context(),
+		rc:         http.NewResponseController(w),
+		enc:        json.NewEncoder(w),
+		deadline:   time.Now().Add(streamMaxDuration),
+		flushEvery: flushEvery,
+		flushAfter: flushAfter,
+	}
+}
+
+// write encodes rec as one NDJSON line; an error means the record did not
+// reach the client.
+func (st *ndjsonStream) write(rec any) error {
+	if err := faultinject.Fire(st.ctx, faultinject.PointStreamWrite); err != nil {
+		return err
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	now := time.Now()
+	d := now.Add(streamWriteTimeout)
+	if d.After(st.deadline) {
+		d = st.deadline
+	}
+	_ = st.rc.SetWriteDeadline(d)
+	if err := st.enc.Encode(rec); err != nil {
+		return err
+	}
+	st.written++
+	st.unflushed++
+	if st.unflushed >= st.flushEvery || now.Sub(st.lastFlush) > st.flushAfter {
+		_ = st.rc.Flush()
+		st.unflushed, st.lastFlush = 0, now
+	}
+	return nil
+}
 
 // transversalsRequest is the /v1/transversals body. Limit caps the number
 // of streamed transversals; 0 means the server maximum
@@ -58,7 +125,6 @@ type streamEndRecord struct {
 }
 
 func (s *Server) handleTransversals(w http.ResponseWriter, r *http.Request) {
-	s.reqTransversals.Add(1)
 	var req transversalsRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
@@ -73,100 +139,44 @@ func (s *Server) handleTransversals(w http.ResponseWriter, r *http.Request) {
 	if limit <= 0 || limit > s.cfg.MaxStreamResults {
 		limit = s.cfg.MaxStreamResults
 	}
-	ctx, cancel, err := s.budgetCtx(r, s.cfg.StreamTimeout)
-	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	defer cancel()
 	// Enumeration does not decide duality, but it competes for the same CPU:
 	// it occupies a worker slot (whose session simply goes unused).
-	sess, err := s.acquire(ctx)
-	if err != nil {
-		s.fail(w, r, ctx, err)
-		return
-	}
-	defer s.release(sess)
-	// Minimal transversals are invariant under minimization, and the
-	// enumerator is specified for simple inputs. Minimize is O(m²), so it
-	// runs inside the worker-pool slot like the enumeration itself.
-	h := hs[0].Minimize()
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	rc := http.NewResponseController(w)
-	enc := json.NewEncoder(w)
-	streamDeadline := time.Now().Add(streamMaxDuration)
-	emit := func(rec any) error {
-		// A stalled client must not pin the worker slot: bound every write
-		// so a non-reading connection errors out instead of blocking, and
-		// bound the stream as a whole so drip-feeding cannot renew the
-		// per-write window forever. The stream_write fault point models a
-		// slow (delay rule) or failing (error rule) client-facing write.
-		if err := faultinject.Fire(ctx, faultinject.PointStreamWrite); err != nil {
-			return err
-		}
-		d := time.Now().Add(streamWriteTimeout)
-		if d.After(streamDeadline) {
-			d = streamDeadline
-		}
-		_ = rc.SetWriteDeadline(d)
-		if err := enc.Encode(rec); err != nil {
-			return err
-		}
-		_ = rc.Flush()
-		return nil
-	}
-
-	// truncated is set only when a transversal beyond the limit actually
-	// arrives: a stream that stops at exactly |tr(h)| = limit is complete.
-	// drained marks a stream cut short because the server began shutting
-	// down: the client gets a clean shed terminal record and retries
-	// against another replica.
-	count, truncated, drained := 0, false, false
-	err = transversal.EnumerateContext(ctx, h, func(t bitset.Set) (bool, error) {
-		if s.draining.Load() {
-			drained = true
-			return false, nil
-		}
-		if count >= limit {
-			truncated = true
-			return false, nil
-		}
-		if err := emit(streamSetRecord{Transversal: names(t, sy)}); err != nil {
-			return false, err // client write failed: abort the enumeration
-		}
-		count++
-		return true, nil
-	})
-	s.streamedSets.Add(int64(count))
-	if err != nil {
-		if budgetExpired(ctx) {
-			// The compute budget ran out with a live client: end in-band
-			// with the timeout taxonomy.
-			if c := s.obs.timeouts["transversals"]; c != nil {
-				c.Add(1)
+	s.inSlot(w, r, s.cfg.StreamTimeout, func(ctx context.Context, _ *engine.Session) error {
+		// Minimal transversals are invariant under minimization, and the
+		// enumerator is specified for simple inputs. Minimize is O(m²), so
+		// it runs inside the worker-pool slot like the enumeration itself.
+		h := hs[0].Minimize()
+		st := newStream(w, r, 1, 0)
+		// truncated is set only when a transversal beyond the limit actually
+		// arrives: a stream that stops at exactly |tr(h)| = limit is
+		// complete. Drain cuts the stream short with the shed taxonomy, and
+		// the client retries against another replica.
+		truncated := false
+		err := transversal.EnumerateContext(ctx, h, func(t bitset.Set) (bool, error) {
+			if s.draining.Load() {
+				return false, errDraining
 			}
-			accessFrom(r.Context()).outcome = "timeout"
-			_ = emit(streamEndRecord{Error: err.Error(), Reason: reasonTimeout, Count: count})
-			return
+			if st.written >= limit {
+				truncated = true
+				return false, nil
+			}
+			// A failed write means the client is gone: abort the enumeration.
+			return true, st.write(streamSetRecord{Transversal: names(t, sy)})
+		})
+		count := st.written
+		s.streamedSets.Add(int64(count))
+		if err != nil {
+			if count == 0 {
+				return err // nothing streamed yet: the status line can still say why
+			}
+			if reason, live := s.streamEnd(r, ctx, err); live {
+				_ = st.write(streamEndRecord{Error: err.Error(), Reason: reason, Count: count})
+			}
+			return nil
 		}
-		if r.Context().Err() != nil {
-			s.cancelled.Add(1)
-			return // client is gone; no terminal record can reach it
-		}
-		// Mid-stream failure with a live client: surface it in-band.
-		_ = emit(streamEndRecord{Error: err.Error(), Count: count})
-		return
-	}
-	if drained {
-		if c := s.obs.sheds["transversals"]; c != nil {
-			c.Add(1)
-		}
-		accessFrom(r.Context()).outcome = "shed"
-		_ = emit(streamEndRecord{Error: errDraining.Error(), Reason: reasonShed, Count: count})
-		return
-	}
-	// Truncated means the limit stopped the stream: tr(h) may hold more
-	// elements than were streamed.
-	_ = emit(streamEndRecord{Done: true, Count: count, Truncated: truncated})
+		// Truncated means the limit stopped the stream: tr(h) may hold more
+		// elements than were streamed.
+		_ = st.write(streamEndRecord{Done: true, Count: count, Truncated: truncated})
+		return nil
+	})
 }
