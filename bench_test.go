@@ -8,6 +8,7 @@ package dualspace
 // the tables themselves.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -109,7 +110,7 @@ func BenchmarkDecideBMParallelMatching5(b *testing.B) {
 	g, h := benchPair(5)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := core.DecideParallel(g, h, 0)
+		res, err := ExplainWith(context.Background(), g, h, Options{Engine: NewParallelEngine(0)})
 		if err != nil || !res.Dual {
 			b.Fatal("wrong verdict")
 		}
@@ -153,7 +154,7 @@ func BenchmarkTransversalDFSThreshold12_3(b *testing.B) {
 	h := gen.Threshold(12, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if transversal.Count(h) == 0 {
+		if c, _ := transversal.CountContext(context.Background(), h); c == 0 {
 			b.Fatal("no transversals")
 		}
 	}
@@ -211,7 +212,7 @@ func BenchmarkBordersDualize(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := itemsets.ComputeBorders(d, 8); err != nil {
+		if _, err := ComputeBorders(d, 8); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,11 +11,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"dualspace/internal/coterie"
+	"dualspace/internal/engine"
 	"dualspace/internal/hgio"
 )
 
@@ -34,7 +36,7 @@ func main() {
 	c, err := coterie.New(hs[0])
 	exitOn(err)
 
-	nd, err := c.IsNonDominated()
+	nd, err := c.IsNonDominatedWith(context.Background(), engine.Default())
 	exitOn(err)
 	if nd {
 		fmt.Printf("NON-DOMINATED coterie (%d quorums over %d nodes)\n", c.NumQuorums(), c.Universe())
@@ -42,7 +44,7 @@ func main() {
 	}
 	fmt.Printf("DOMINATED coterie (%d quorums over %d nodes)\n", c.NumQuorums(), c.Universe())
 	if *improve {
-		dom, found, err := c.FindDominating()
+		dom, found, err := c.FindDominatingWith(context.Background(), engine.Default())
 		exitOn(err)
 		if found {
 			fmt.Println("# a dominating coterie:")

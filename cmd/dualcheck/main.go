@@ -4,20 +4,21 @@
 // Usage:
 //
 //	dualcheck [-engine portfolio|core|core-parallel|fk-a|fk-b|logspace]
-//	          [-race] [-workers n] [-algo bm|bmp|fka|fkb|space]
-//	          [-mode replay|strict|pipelined] G.hg H.hg
+//	          [-workers n] [-certificate [-mode replay|strict|pipelined]]
+//	          G.hg H.hg
 //
 // Each input file lists one hyperedge per line as whitespace-separated
 // vertex names ('-' denotes the empty edge, '#' starts a comment). The two
 // files share one vertex universe. The decision runs on the selected
-// engine; the default portfolio dispatches on instance shape, and -race
-// hedges it by racing two engines. -algo keeps the legacy spellings (bm,
-// bmp, fka, fkb) plus the space-bounded certificate search, whose regime
+// engine; the default portfolio dispatches on instance shape. -workers
+// bounds core-parallel's goroutines. -certificate follows the engine's
+// precondition check with the space-bounded fail-path search, whose regime
 // -mode selects. Exit status: 0 dual, 1 not dual, 2 error.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -30,15 +31,14 @@ import (
 )
 
 func main() {
-	engineName := flag.String("engine", "", "decision engine: "+strings.Join(dualspace.EngineNames(), ", ")+" (default portfolio; overrides -algo)")
-	raceMode := flag.Bool("race", false, "race the portfolio's selection against a contrasting engine")
-	algo := flag.String("algo", "", "legacy algorithm spelling: bm, bmp, fka, fkb, space")
-	mode := flag.String("mode", "replay", "space regime for -algo space: replay, strict, pipelined")
-	workers := flag.Int("workers", 0, "goroutines for core-parallel / -algo bmp (0 = GOMAXPROCS)")
+	engineName := flag.String("engine", "", "decision engine: "+strings.Join(dualspace.EngineNames(), ", ")+" (default portfolio)")
+	certificate := flag.Bool("certificate", false, "search for a fail-path certificate and report its peak workspace")
+	mode := flag.String("mode", "replay", "space regime for -certificate: replay, strict, pipelined")
+	workers := flag.Int("workers", 0, "goroutines for core-parallel (0 = GOMAXPROCS)")
 	quiet := flag.Bool("q", false, "suppress witness output")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: dualcheck [-engine name] [-algo bm|bmp|fka|fkb|space] G.hg H.hg")
+		fmt.Fprintln(os.Stderr, "usage: dualcheck [-engine name] [-workers n] [-certificate [-mode m]] G.hg H.hg")
 		os.Exit(2)
 	}
 	gf, err := os.Open(flag.Arg(0))
@@ -51,73 +51,39 @@ func main() {
 	exitOn(err)
 	g, h := hs[0], hs[1]
 
-	if *engineName == "" && *algo == "space" {
-		// Keep the error-instead-of-silent-fallback policy of resolveEngine:
-		// the certificate search neither races nor takes a worker bound.
-		if *raceMode {
-			exitOn(fmt.Errorf("-race applies only to the portfolio engine, not the space certificate search"))
-		}
-		if *workers != 0 {
-			exitOn(fmt.Errorf("-workers does not apply to the space certificate search"))
-		}
-		runSpace(g, h, *mode, sy, *quiet)
-		return
-	}
-	eng, err := resolveEngine(*engineName, *algo, *raceMode, *workers)
+	eng, err := resolveEngine(*engineName, *workers)
 	exitOn(err)
+	var m dualspace.SpaceMode
+	if *certificate {
+		m, err = parseMode(*mode)
+		exitOn(err)
+	}
 	res, err := dualspace.ExplainWith(context.Background(), g, h, dualspace.Options{Engine: eng})
 	exitOn(err)
+	if *certificate {
+		runSpace(g, h, res, m, sy, *quiet)
+		return
+	}
 	report(res.Dual, describe(res, sy), *quiet)
 }
 
-// resolveEngine maps the -engine / -algo / -race / -workers flags to an
-// engine: -engine wins over the legacy -algo spellings, then the default
-// portfolio. -race applies only to the portfolio and -workers only to the
-// parallel engines; asking for either on an engine that cannot honor it is
-// an error rather than a silent fallback.
-func resolveEngine(name, algo string, raceMode bool, workers int) (dualspace.Engine, error) {
-	if name == "" {
-		switch algo {
-		case "":
-			name = "portfolio"
-		case "bm":
-			name = "core"
-		case "bmp":
-			name = "core-parallel"
-		case "fka":
-			name = "fk-a"
-		case "fkb":
-			name = "fk-b"
-		default:
-			return nil, fmt.Errorf("unknown algorithm %q", algo)
-		}
+// resolveEngine maps the -engine / -workers flags to an engine. -workers
+// applies only to core-parallel; asking for it on another engine is an
+// error rather than a silent fallback.
+func resolveEngine(name string, workers int) (dualspace.Engine, error) {
+	if workers == 0 {
+		return dualspace.EngineByName(name)
 	}
-	if raceMode && name != "portfolio" {
-		return nil, fmt.Errorf("-race applies only to the portfolio engine, not %q", name)
+	if name != "core-parallel" {
+		return nil, errors.New("-workers applies only to -engine core-parallel")
 	}
-	if workers != 0 && name != "portfolio" && name != "core-parallel" {
-		return nil, fmt.Errorf("-workers applies only to core-parallel or the portfolio, not %q", name)
-	}
-	switch name {
-	case "portfolio":
-		if raceMode || workers != 0 {
-			return dualspace.NewPortfolioEngine(dualspace.PortfolioConfig{Workers: workers, Race: raceMode}), nil
-		}
-	case "core-parallel":
-		if workers != 0 {
-			return dualspace.NewParallelEngine(workers), nil
-		}
-	}
-	return dualspace.EngineByName(name)
+	return dualspace.NewParallelEngine(workers), nil
 }
 
-// runSpace is the certificate-search path: preconditions through the
-// engine, then the space-bounded fail-path search with a workspace meter.
-func runSpace(g, h *dualspace.Hypergraph, mode string, sy *hgio.Symbols, quiet bool) {
-	m, err := parseMode(mode)
-	exitOn(err)
-	res, err := dualspace.Explain(g, h)
-	exitOn(err)
+// runSpace is the certificate-search path: the engine's verdict res
+// settles the preconditions, then the space-bounded fail-path search runs
+// with a workspace meter.
+func runSpace(g, h *dualspace.Hypergraph, res *core.Result, m dualspace.SpaceMode, sy *hgio.Symbols, quiet bool) {
 	if !res.Dual && res.Reason != dualspace.ReasonNewTransversal {
 		report(false, describe(res, sy), quiet)
 		return

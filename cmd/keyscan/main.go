@@ -14,11 +14,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 
 	"dualspace/internal/bitset"
+	"dualspace/internal/engine"
 	"dualspace/internal/hgio"
 	"dualspace/internal/hypergraph"
 )
@@ -48,7 +50,7 @@ func main() {
 		if attrSym.Len() > rel.NumAttrs() {
 			exitOn(fmt.Errorf("unknown attribute %q in %s", attrSym.Name(rel.NumAttrs()), *knownPath))
 		}
-		res, err := rel.AdditionalKey(hs[0])
+		res, err := rel.AdditionalKeyWith(context.Background(), hs[0], engine.NewSessionMemo(nil, -1))
 		exitOn(err)
 		if res.Complete {
 			fmt.Println("COMPLETE: no additional minimal key exists")
@@ -58,7 +60,7 @@ func main() {
 		exitOn(hgio.WriteHypergraph(os.Stdout, hypergraph.FromSets(rel.NumAttrs(), []bitset.Set{res.NewKey}), attrSym))
 		os.Exit(1)
 	case *incremental:
-		known, calls, err := rel.EnumerateKeysIncrementally()
+		known, calls, err := rel.EnumerateKeysIncrementallyWith(context.Background(), engine.NewSession(nil))
 		exitOn(err)
 		fmt.Printf("# %d minimal keys in %d duality calls\n", known.M(), calls)
 		exitOn(hgio.WriteHypergraph(os.Stdout, known.Canonical(), attrSym))

@@ -42,7 +42,9 @@ func main() {
 	// Counting needs no materialization: stream the DFS enumerator and keep
 	// only the integer.
 	if *countOnly && *method == "dfs" && *limit <= 0 {
-		fmt.Println(transversal.Count(h))
+		c, err := transversal.CountContext(context.Background(), h)
+		exitOn(err)
+		fmt.Println(c)
 		return
 	}
 
@@ -51,10 +53,10 @@ func main() {
 	case "dfs":
 		if *limit > 0 {
 			out := hypergraph.New(h.N())
-			transversal.Enumerate(h, func(s bitset.Set) bool {
+			exitOn(transversal.EnumerateContext(context.Background(), h, func(s bitset.Set) (bool, error) {
 				out.AddEdge(s)
-				return out.M() < *limit
-			})
+				return out.M() < *limit, nil
+			}))
 			result = out
 		} else {
 			result = transversal.AsHypergraph(h)

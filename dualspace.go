@@ -25,14 +25,15 @@
 // Duality decisions route through the pluggable engine layer
 // (internal/engine): five procedures behind one interface — the
 // decomposition serial and parallel, the logspace replay, FK-A and FK-B —
-// selected explicitly (ExplainWith, EngineByName) or by the default
-// portfolio, which dispatches on instance features and can race two
-// engines; NewEngineSession pins scratch so repeated decisions from one
-// holder are allocation-free across calls. Long-running entry points have
-// Context variants (ExplainContext, ExplainParallelContext,
-// EnumerateMinimalTransversalsContext) that abort within one
-// decomposition-tree node of cancellation. The same machinery is served
-// over HTTP by cmd/dualserved (internal/service), whose wire protocol —
+// selected explicitly (ExplainWith with EngineByName or NewParallelEngine)
+// or by the default portfolio, which dispatches on instance features;
+// NewEngineSession pins scratch so repeated decisions from one holder are
+// allocation-free across calls. Each operation has one entry point here.
+// It is context-free, except ExplainWith and EnumerateMinimalTransversals,
+// which take a ctx and abort within one decomposition-tree (or search)
+// node of cancellation; the application layers' ctx-taking forms live in
+// their own packages. The same machinery is served over HTTP by
+// cmd/dualserved (internal/service), whose wire protocol —
 // including the engine-keyed canonical-Fingerprint verdict cache and the
 // streaming enumeration endpoint — is documented in docs/API.md.
 //
@@ -101,8 +102,6 @@ type (
 	// long-lived holder are allocation-free across calls. Not safe for
 	// concurrent use; results are valid until the session's next call.
 	EngineSession = engine.Session
-	// PortfolioConfig parameterizes NewPortfolioEngine.
-	PortfolioConfig = engine.PortfolioConfig
 )
 
 // Non-duality reasons (see core.Reason).
@@ -159,8 +158,8 @@ func IsDual(g, h *Hypergraph) (bool, error) {
 // Options configures an explicit duality decision.
 type Options struct {
 	// Engine selects the decision procedure; nil uses the default portfolio.
-	// Engines come from EngineByName, NewPortfolioEngine, NewParallelEngine,
-	// or a long-lived NewEngineSession.
+	// Engines come from EngineByName, NewParallelEngine, or a long-lived
+	// NewEngineSession.
 	Engine Engine
 }
 
@@ -172,17 +171,12 @@ func Explain(g, h *Hypergraph) (*Result, error) {
 	return ExplainWith(context.Background(), g, h, Options{})
 }
 
-// ExplainContext is Explain with cancellation: the decision polls ctx at
-// every tree-node (or recursion-step) boundary, so cancelling aborts it
-// within one boundary and returns ctx's error.
-func ExplainContext(ctx context.Context, g, h *Hypergraph) (*Result, error) {
-	return ExplainWith(ctx, g, h, Options{})
-}
-
-// ExplainWith is ExplainContext with an explicit engine choice. All engines
-// agree on verdicts and classify negative answers with the same Reason
-// taxonomy; they differ in search strategy, parallelism, and whether a
-// FailPath accompanies new-transversal witnesses.
+// ExplainWith is Explain with cancellation and an explicit engine choice.
+// The decision polls ctx at every tree-node (or recursion-step) boundary,
+// so cancelling aborts it within one boundary and returns ctx's error. All
+// engines agree on verdicts and classify negative answers with the same
+// Reason taxonomy; they differ in search strategy, parallelism, and whether
+// a FailPath accompanies new-transversal witnesses.
 func ExplainWith(ctx context.Context, g, h *Hypergraph, opts Options) (*Result, error) {
 	eng := opts.Engine
 	if eng == nil {
@@ -198,13 +192,11 @@ func EngineByName(name string) (Engine, error) { return engine.ByName(name) }
 // EngineNames lists the available engine names, default first.
 func EngineNames() []string { return engine.Names() }
 
-// NewPortfolioEngine returns a feature-dispatching portfolio engine; the
-// zero config is the default dispatch, and Race hedges the heuristic by
-// running the selected engine against a contrasting one.
-func NewPortfolioEngine(cfg PortfolioConfig) Engine { return engine.NewPortfolio(cfg) }
-
 // NewParallelEngine returns the parallel decomposition engine with the given
-// goroutine bound (0 = GOMAXPROCS).
+// goroutine bound (0 = GOMAXPROCS) — the practical counterpart of the
+// parallel origin of the Boros–Makino method. Its verdicts match the serial
+// engine's; on non-dual instances the witness may name a different
+// (equally valid) fail leaf.
 func NewParallelEngine(workers int) Engine { return engine.NewCoreParallel(workers) }
 
 // NewEngineSession returns a session pinning eng's scratch (nil = default
@@ -214,31 +206,6 @@ func NewEngineSession(eng Engine) *EngineSession { return engine.NewSession(eng)
 // IsSelfDual reports whether h = tr(h) (e.g. coterie non-domination,
 // majority functions).
 func IsSelfDual(h *Hypergraph) (bool, error) { return IsDual(h, h) }
-
-// IdentifyBordersWith is IdentifyBorders with cancellation and an explicit
-// engine (see Options.Engine).
-func IdentifyBordersWith(ctx context.Context, d *Dataset, z int, g, h *Hypergraph, opts Options) (*IdentifyResult, error) {
-	eng := opts.Engine
-	if eng == nil {
-		eng = engine.Default()
-	}
-	return itemsets.IdentifyWith(ctx, d, z, g, h, eng)
-}
-
-// ExplainParallel is Explain with the decomposition tree searched by up to
-// the given number of goroutines (0 = GOMAXPROCS) — the practical
-// counterpart of the parallel origin of the Boros–Makino method. The
-// verdict matches Explain; on non-dual instances the witness may name a
-// different (equally valid) fail leaf.
-func ExplainParallel(g, h *Hypergraph, workers int) (*Result, error) {
-	return ExplainParallelContext(context.Background(), g, h, workers)
-}
-
-// ExplainParallelContext is ExplainParallel with cancellation (see
-// ExplainContext); every worker polls ctx at every node it visits.
-func ExplainParallelContext(ctx context.Context, g, h *Hypergraph, workers int) (*Result, error) {
-	return ExplainWith(ctx, g, h, Options{Engine: engine.NewCoreParallel(workers)})
-}
 
 // IsAcyclic reports α-acyclicity of a hypergraph (GYO reduction) — the
 // structural class for which DUAL is known to be tractable (paper §6).
@@ -274,16 +241,10 @@ func MinimalTransversals(h *Hypergraph) *Hypergraph { return transversal.AsHyper
 // returns false or an error; a yield error terminates the enumeration and
 // is returned verbatim, so streaming consumers (e.g. the HTTP service's
 // /v1/transversals endpoint, see docs/API.md) can surface mid-stream
-// failures instead of silently truncating. A nil return means the stream
-// completed or was stopped cleanly by yield.
-func EnumerateMinimalTransversals(h *Hypergraph, yield func(Set) (bool, error)) error {
-	return transversal.EnumerateContext(context.Background(), h, yield)
-}
-
-// EnumerateMinimalTransversalsContext is EnumerateMinimalTransversals with
-// cancellation: a cancelled ctx aborts the enumeration within one
-// search-node boundary and returns ctx's error.
-func EnumerateMinimalTransversalsContext(ctx context.Context, h *Hypergraph, yield func(Set) (bool, error)) error {
+// failures instead of silently truncating. A cancelled ctx aborts the
+// enumeration within one search-node boundary and returns ctx's error. A
+// nil return means the stream completed or was stopped cleanly by yield.
+func EnumerateMinimalTransversals(ctx context.Context, h *Hypergraph, yield func(Set) (bool, error)) error {
 	return transversal.EnumerateContext(ctx, h, yield)
 }
 
@@ -344,13 +305,16 @@ func NewSpaceMeter() *SpaceMeter { return space.NewMeter() }
 func NewDataset(nItems int) *Dataset { return itemsets.NewDataset(nItems) }
 
 // ComputeBorders computes IS+(M, z) and IS−(M, z) by the incremental
-// dualize-and-advance algorithm driven by the duality engine.
-func ComputeBorders(d *Dataset, z int) (*Borders, error) { return itemsets.ComputeBorders(d, z) }
+// dualize-and-advance algorithm driven by the duality engine; its checks
+// share one default-portfolio session.
+func ComputeBorders(d *Dataset, z int) (*Borders, error) {
+	return itemsets.ComputeBordersStreamWith(context.Background(), d, z, engine.NewSession(nil), nil)
+}
 
 // IdentifyBorders solves MaxFreq-MinInfreq-Identification (Proposition
 // 1.1): are the claimed families g ⊆ IS− and h ⊆ IS+ complete?
 func IdentifyBorders(d *Dataset, z int, g, h *Hypergraph) (*IdentifyResult, error) {
-	return itemsets.Identify(d, z, g, h)
+	return itemsets.IdentifyWith(context.Background(), d, z, g, h, engine.Default())
 }
 
 // NewRelation returns an empty relational instance with the given
@@ -362,9 +326,9 @@ func MinimalKeys(r *Relation) *Hypergraph { return r.MinimalKeys() }
 
 // AdditionalKey decides the additional-key-for-instance problem
 // (Proposition 1.2) and returns a concrete new minimal key when one
-// exists.
+// exists. The one decision runs on a memo-less session.
 func AdditionalKey(r *Relation, known *Hypergraph) (*keys.AdditionalKeyResult, error) {
-	return r.AdditionalKey(known)
+	return r.AdditionalKeyWith(context.Background(), known, engine.NewSessionMemo(nil, -1))
 }
 
 // NewCoterie validates a quorum hypergraph as a coterie.
@@ -372,4 +336,6 @@ func NewCoterie(h *Hypergraph) (*Coterie, error) { return coterie.New(h) }
 
 // IsNonDominated decides coterie non-domination via self-duality
 // (Proposition 1.3).
-func IsNonDominated(c *Coterie) (bool, error) { return c.IsNonDominated() }
+func IsNonDominated(c *Coterie) (bool, error) {
+	return c.IsNonDominatedWith(context.Background(), engine.Default())
+}

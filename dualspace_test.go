@@ -4,6 +4,11 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"dualspace/internal/core"
+	"dualspace/internal/engine"
+	"dualspace/internal/itemsets"
+	"dualspace/internal/transversal"
 )
 
 func TestFacadeDuality(t *testing.T) {
@@ -48,14 +53,14 @@ func TestFacadeTransversals(t *testing.T) {
 		t.Fatal("Berge disagrees with DFS")
 	}
 	count := 0
-	if err := EnumerateMinimalTransversals(g, func(Set) (bool, error) { count++; return count < 2, nil }); err != nil {
+	if err := EnumerateMinimalTransversals(context.Background(), g, func(Set) (bool, error) { count++; return count < 2, nil }); err != nil {
 		t.Fatalf("early stop returned error: %v", err)
 	}
 	if count != 2 {
 		t.Fatalf("early stop count = %d", count)
 	}
 	wantErr := errors.New("downstream broke")
-	if err := EnumerateMinimalTransversals(g, func(Set) (bool, error) { return false, wantErr }); !errors.Is(err, wantErr) {
+	if err := EnumerateMinimalTransversals(context.Background(), g, func(Set) (bool, error) { return false, wantErr }); !errors.Is(err, wantErr) {
 		t.Fatalf("yield error not surfaced: %v", err)
 	}
 	selfDual, err := IsSelfDual(MustHypergraph(3, [][]int{{0, 1}, {1, 2}, {0, 2}}))
@@ -97,11 +102,6 @@ func TestFacadeEngines(t *testing.T) {
 		if err != nil || !res.Dual {
 			t.Fatalf("session decide %d: %v, %v", i, res, err)
 		}
-	}
-	// Racing portfolio through the façade.
-	res, err := ExplainWith(ctx, g, h, Options{Engine: NewPortfolioEngine(PortfolioConfig{Race: true})})
-	if err != nil || !res.Dual {
-		t.Errorf("racing portfolio: %v, %v", res, err)
 	}
 }
 
@@ -209,9 +209,9 @@ func TestFacadeCoteries(t *testing.T) {
 func TestFacadeParallel(t *testing.T) {
 	g := MustHypergraph(4, [][]int{{0, 1}, {2, 3}})
 	h := MustHypergraph(4, [][]int{{0, 2}, {0, 3}, {1, 2}, {1, 3}})
-	res, err := ExplainParallel(g, h, 2)
+	res, err := ExplainWith(context.Background(), g, h, Options{Engine: NewParallelEngine(2)})
 	if err != nil || !res.Dual {
-		t.Fatalf("ExplainParallel: %v, %v", res, err)
+		t.Fatalf("parallel engine: %v, %v", res, err)
 	}
 }
 
@@ -237,5 +237,105 @@ func TestFacadeArmstrong(t *testing.T) {
 	}
 	if !MinimalKeys(rel).EqualAsFamily(k) {
 		t.Error("Armstrong relation keys do not round-trip")
+	}
+}
+
+// TestEntryPointsHonourCancelledContext: every ctx-taking entry point, given
+// an already-cancelled ctx on an input that reaches a duality check or an
+// enumeration node, returns context.Canceled instead of an answer. The
+// duality pair is one the precheck alone decides (its edges do not
+// intersect), so a decision that runs the precheck before its first ctx
+// poll answers it with a nil error.
+func TestEntryPointsHonourCancelledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	g := MustHypergraph(3, [][]int{{0, 1}})
+	h := MustHypergraph(3, [][]int{{2}})
+
+	d := NewDataset(3)
+	d.AddRow(0, 1)
+	d.AddRow(0, 1)
+	d.AddRow(2)
+	rel, err := NewRelation([]string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range [][]string{{"1", "x"}, {"2", "x"}, {"2", "y"}} {
+		if err := rel.AddRow(row...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	star, err := NewCoterie(MustHypergraph(3, [][]int{{0, 1}, {0, 2}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	yield := func(Set) (bool, error) { return true, nil }
+
+	cases := map[string]func() error{
+		"EnumerateMinimalTransversals": func() error { return EnumerateMinimalTransversals(ctx, g, yield) },
+		"itemsets.ComputeBordersStreamWith": func() error {
+			_, err := itemsets.ComputeBordersStreamWith(ctx, d, 1, engine.NewSession(nil), nil)
+			return err
+		},
+		"itemsets.IdentifyWith": func() error {
+			_, err := itemsets.IdentifyWith(ctx, d, 1, NewHypergraph(3), MustHypergraph(3, [][]int{{0, 1}}), engine.Default())
+			return err
+		},
+		"keys.AdditionalKeyWith": func() error {
+			_, err := rel.AdditionalKeyWith(ctx, MustHypergraph(2, [][]int{{0, 1}}), engine.NewSession(nil))
+			return err
+		},
+		"keys.EnumerateKeysIncrementallyWith": func() error {
+			_, _, err := rel.EnumerateKeysIncrementallyWith(ctx, engine.NewSession(nil))
+			return err
+		},
+		"coterie.IsNonDominatedWith": func() error {
+			_, err := star.IsNonDominatedWith(ctx, engine.Default())
+			return err
+		},
+		"coterie.FindDominatingWith": func() error {
+			_, _, err := star.FindDominatingWith(ctx, engine.Default())
+			return err
+		},
+		"transversal.EnumerateContext": func() error { return transversal.EnumerateContext(ctx, g, yield) },
+		"transversal.CountContext": func() error {
+			_, err := transversal.CountContext(ctx, g)
+			return err
+		},
+		"core.Decider.DecideContext": func() error {
+			_, err := core.NewDecider().DecideContext(ctx, g, h)
+			return err
+		},
+		"core.Decider.DecideParallel": func() error {
+			_, err := core.NewDecider().DecideParallel(ctx, g, h, 2)
+			return err
+		},
+		"core.Decider.TrSubsetContext": func() error {
+			_, err := core.NewDecider().TrSubsetContext(ctx, g, h)
+			return err
+		},
+		"core.Decider.NewTransversal": func() error {
+			_, _, err := core.NewDecider().NewTransversal(ctx, g, h)
+			return err
+		},
+	}
+	for _, name := range EngineNames() {
+		eng, err := EngineByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases["ExplainWith/"+name] = func() error {
+			_, err := ExplainWith(ctx, g, h, Options{Engine: eng})
+			return err
+		}
+		cases["EngineSession/"+name] = func() error {
+			_, err := NewEngineSession(eng).Decide(ctx, g, h)
+			return err
+		}
+	}
+	for name, call := range cases {
+		if err := call(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", name, err)
+		}
 	}
 }

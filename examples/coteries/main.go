@@ -10,11 +10,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"dualspace"
 	"dualspace/internal/coterie"
+	"dualspace/internal/engine"
 )
 
 func main() {
@@ -29,13 +31,13 @@ func main() {
 	// Repairing a dominated coterie: the star is dominated; the duality
 	// witness yields a strictly better quorum system.
 	star := coterie.Star(5, 0)
-	dom, found, err := star.FindDominating()
+	dom, found, err := star.FindDominatingWith(context.Background(), engine.Default())
 	if err != nil {
 		log.Fatal(err)
 	}
 	if found {
 		fmt.Println("\nthe star coterie", star, "is dominated by", dom)
-		nd, err := dom.IsNonDominated()
+		nd, err := dualspace.IsNonDominated(dom)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,7 +61,7 @@ func main() {
 }
 
 func show(name string, c *coterie.Coterie) {
-	nd, err := c.IsNonDominated()
+	nd, err := dualspace.IsNonDominated(c)
 	if err != nil {
 		log.Fatal(err)
 	}

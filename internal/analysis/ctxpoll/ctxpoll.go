@@ -12,10 +12,12 @@
 //  2. In the serving and application layers (internal/service,
 //     internal/batch, internal/itemsets, internal/keys, internal/coterie,
 //     and the cmd/ binaries), a function that has a context in scope must
-//     not call a legacy non-context entry point when the same package
-//     declares a *Context or *With variant: the legacy façade is for
-//     contexts-free callers only, and calling it from a request path
-//     silently severs cancellation.
+//     not call a context-free function (or method) when its package (or
+//     receiver) declares a ctx-taking *Context or *With sibling — the
+//     façade's Explain/ExplainWith and fkdual's DecideA/DecideAContext and
+//     DecideB/DecideBContext. The context-free form is for callers without
+//     a ctx only; calling it from a request path silently severs
+//     cancellation.
 //
 // Intentional exceptions carry //dual:allow(ctxpoll: reason).
 package ctxpoll
@@ -125,8 +127,7 @@ func smallConstLoop(loop *ast.ForStmt) bool {
 }
 
 // smallRange reports whether loop ranges over a composite literal with at
-// most smallLoopMax elements (e.g. the portfolio's two-engine race
-// launcher) — a trivially bounded trip count.
+// most smallLoopMax elements — a trivially bounded trip count.
 func smallRange(loop *ast.RangeStmt) bool {
 	lit, ok := ast.Unparen(loop.X).(*ast.CompositeLit)
 	return ok && len(lit.Elts) <= smallLoopMax
@@ -162,7 +163,7 @@ var builtinNames = map[string]struct{}{
 	"clear": {}, "complex": {}, "real": {}, "imag": {},
 }
 
-// checkVariantCalls flags calls to legacy entry points that have a
+// checkVariantCalls flags calls to context-free functions that have a
 // *Context/*With sibling, from functions that hold a ctx.
 func checkVariantCalls(pass *analysis.Pass, decl *ast.FuncDecl, body *ast.BlockStmt) {
 	info := pass.TypesInfo
@@ -180,7 +181,7 @@ func checkVariantCalls(pass *analysis.Pass, decl *ast.FuncDecl, body *ast.BlockS
 			return true
 		}
 		if !fn.Exported() {
-			return true // the façade/variant convention is exported API surface
+			return true // the sibling convention is exported API surface
 		}
 		if fn == info.Defs[decl.Name] {
 			return true // self-recursion
@@ -190,7 +191,7 @@ func checkVariantCalls(pass *analysis.Pass, decl *ast.FuncDecl, body *ast.BlockS
 			return true // already a context-aware call
 		}
 		if variant := contextVariant(fn); variant != "" {
-			pass.Reportf(call.Pos(), "call %s instead of %s: the caller has a ctx and the legacy entry point severs cancellation", variant, fn.Name())
+			pass.Reportf(call.Pos(), "call %s instead of %s: the caller has a ctx and the context-free form severs cancellation", variant, fn.Name())
 		}
 		return true
 	})

@@ -1,44 +1,49 @@
 // Variant fixture: rule 2 — ctx-holding callers in the serving/app layers
-// must use *Context/*With siblings instead of the legacy façade.
+// must call the ctx-taking *Context/*With sibling of a context-free
+// function, as the façade pairs Explain with ExplainWith and fkdual pairs
+// DecideA with DecideAContext. A method pairs with a sibling on its own
+// receiver.
 package fixture
 
 import "context"
 
-func Work() error                               { return nil }
-func WorkContext(ctx context.Context) error     { return ctx.Err() }
-func Plain() error                              { return nil }
-func Mine() error                               { return nil }
-func MineWith(ctx context.Context, n int) error { return ctx.Err() }
+type Options struct{}
 
-type Engine struct{}
+func DecideA() error                                      { return nil }
+func DecideAContext(ctx context.Context) error            { return ctx.Err() }
+func Explain() error                                      { return nil }
+func ExplainWith(ctx context.Context, opts Options) error { return ctx.Err() }
+func IsAcyclic() bool                                     { return true }
 
-func (e *Engine) Solve() error                           { return nil }
-func (e *Engine) SolveContext(ctx context.Context) error { return ctx.Err() }
+type Session struct{}
 
-func handler(ctx context.Context, e *Engine) error {
-	if err := Work(); err != nil { // want `call WorkContext instead of Work`
+func (s *Session) Decide() error                                      { return nil }
+func (s *Session) DecideWith(ctx context.Context, opts Options) error { return ctx.Err() }
+
+func handler(ctx context.Context, s *Session) error {
+	if err := DecideA(); err != nil { // want `call DecideAContext instead of DecideA`
 		return err
 	}
-	if err := Mine(); err != nil { // want `call MineWith instead of Mine`
+	if err := Explain(); err != nil { // want `call ExplainWith instead of Explain`
 		return err
 	}
-	if err := e.Solve(); err != nil { // want `call SolveContext instead of Solve`
+	if err := s.Decide(); err != nil { // want `call DecideWith instead of Decide`
 		return err
 	}
-	if err := Plain(); err != nil { // no variant exists: clean
-		return err
+	if !IsAcyclic() { // no sibling exists: clean
+		return nil
 	}
-	return WorkContext(ctx)
+	return ExplainWith(ctx, Options{})
 }
 
-func legacyCaller(e *Engine) error {
-	// No ctx in scope: the legacy façade is the right call.
-	if err := Work(); err != nil {
+func contextFreeCaller(s *Session) error {
+	// No ctx in scope: the context-free form is the right call.
+	if err := Explain(); err != nil {
 		return err
 	}
-	return e.Solve()
+	return s.Decide()
 }
 
 func suppressedVariant(ctx context.Context) error {
-	return Work() //dual:allow(ctxpoll: fire-and-forget cleanup, must not be cancelled)
+	return DecideA() //dual:allow(ctxpoll: fire-and-forget cleanup, must not be cancelled)
 }

@@ -61,13 +61,22 @@ func writeFile(t *testing.T, name, content string) string {
 	return path
 }
 
+// dualcheckRuns are the ways dualcheck decides: every engine by name, and
+// the fail-path certificate search behind the default engine.
+var dualcheckRuns = [][]string{
+	{"-engine", "portfolio"}, {"-engine", "core"}, {"-engine", "core-parallel"},
+	{"-engine", "fk-a"}, {"-engine", "fk-b"}, {"-engine", "logspace"},
+	{"-engine", "core-parallel", "-workers", "2"},
+	{"-certificate"},
+}
+
 func TestDualcheckDualPair(t *testing.T) {
 	g := writeFile(t, "g.hg", "a b\nc d\n")
 	h := writeFile(t, "h.hg", "a c\na d\nb c\nb d\n")
-	for _, algo := range []string{"bm", "bmp", "fka", "fkb", "space"} {
-		out, code := run(t, "dualcheck", "-algo", algo, g, h)
+	for _, flags := range dualcheckRuns {
+		out, code := run(t, "dualcheck", append(flags, g, h)...)
 		if code != 0 || !strings.Contains(out, "DUAL") || strings.Contains(out, "NOT DUAL") {
-			t.Errorf("algo %s: code=%d out=%q", algo, code, out)
+			t.Errorf("%v: code=%d out=%q", flags, code, out)
 		}
 	}
 }
@@ -75,10 +84,10 @@ func TestDualcheckDualPair(t *testing.T) {
 func TestDualcheckNonDual(t *testing.T) {
 	g := writeFile(t, "g.hg", "a b\nc d\n")
 	h := writeFile(t, "h.hg", "a c\na d\nb c\n")
-	for _, algo := range []string{"bm", "bmp", "fka", "fkb", "space"} {
-		out, code := run(t, "dualcheck", "-algo", algo, g, h)
+	for _, flags := range dualcheckRuns {
+		out, code := run(t, "dualcheck", append(flags, g, h)...)
 		if code != 1 || !strings.Contains(out, "NOT DUAL") {
-			t.Errorf("algo %s: code=%d out=%q", algo, code, out)
+			t.Errorf("%v: code=%d out=%q", flags, code, out)
 		}
 	}
 	// The BM verdict names the witness with original vertex names.
@@ -86,28 +95,25 @@ func TestDualcheckNonDual(t *testing.T) {
 	if !strings.Contains(out, "b") || !strings.Contains(out, "d") {
 		t.Errorf("witness not named: %q", out)
 	}
+	// The certificate search reports the fail path and its workspace.
+	out, _ = run(t, "dualcheck", "-certificate", "-mode", "strict", g, h)
+	if !strings.Contains(out, "certificate [") || !strings.Contains(out, "peak workspace") {
+		t.Errorf("-certificate: no certificate reported: %q", out)
+	}
 }
 
 func TestDualcheckEngineFlag(t *testing.T) {
 	g := writeFile(t, "g.hg", "a b\nc d\n")
 	h := writeFile(t, "h.hg", "a c\na d\nb c\nb d\n")
-	hBad := writeFile(t, "hbad.hg", "a c\na d\nb c\n")
-	for _, eng := range []string{"portfolio", "core", "core-parallel", "fk-a", "fk-b", "logspace"} {
-		out, code := run(t, "dualcheck", "-engine", eng, g, h)
-		if code != 0 || !strings.Contains(out, "DUAL") || strings.Contains(out, "NOT DUAL") {
-			t.Errorf("engine %s dual: code=%d out=%q", eng, code, out)
+	for _, flags := range [][]string{
+		{"-engine", "quantum"},
+		{"-workers", "2"},
+		{"-engine", "core", "-workers", "2"},
+		{"-certificate", "-mode", "lazy"},
+	} {
+		if out, code := run(t, "dualcheck", append(flags, g, h)...); code != 2 {
+			t.Errorf("%v accepted: code=%d out=%q", flags, code, out)
 		}
-		out, code = run(t, "dualcheck", "-engine", eng, g, hBad)
-		if code != 1 || !strings.Contains(out, "NOT DUAL") {
-			t.Errorf("engine %s non-dual: code=%d out=%q", eng, code, out)
-		}
-	}
-	// Racing portfolio agrees too.
-	if out, code := run(t, "dualcheck", "-race", g, h); code != 0 || !strings.Contains(out, "DUAL") {
-		t.Errorf("-race: code=%d out=%q", code, out)
-	}
-	if _, code := run(t, "dualcheck", "-engine", "quantum", g, h); code != 2 {
-		t.Error("unknown engine accepted")
 	}
 }
 

@@ -18,9 +18,9 @@ func TestDecideContextPreCancelled(t *testing.T) {
 	g, h := gen.Matching(3), gen.MatchingDual(3)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res, err := core.DecideContext(ctx, g, h)
+	res, err := core.NewDecider().DecideContext(ctx, g, h)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("DecideContext(cancelled) = %v, %v; want context.Canceled", res, err)
+		t.Fatalf("Decider.DecideContext(cancelled) = %v, %v; want context.Canceled", res, err)
 	}
 	res, err = core.NewDecider().DecideParallel(ctx, g, h, 2)
 	if !errors.Is(err, context.Canceled) {
@@ -31,15 +31,15 @@ func TestDecideContextPreCancelled(t *testing.T) {
 	}
 }
 
-// TestDecideContextBackgroundMatchesDecide: the context variants with a
-// background context agree with the plain entry points.
+// TestDecideContextBackgroundMatchesDecide: a pinned Decider under a
+// background context agrees with the one-shot Decide.
 func TestDecideContextBackgroundMatchesDecide(t *testing.T) {
 	for _, p := range gen.Families(11) {
 		want, err := core.Decide(p.G, p.H)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
-		got, err := core.DecideContext(context.Background(), p.G, p.H)
+		got, err := core.NewDecider().DecideContext(context.Background(), p.G, p.H)
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
@@ -86,7 +86,7 @@ func cancelMidWalk(t *testing.T, decide func(ctx context.Context, g, h *hypergra
 
 func TestDecideContextCancelMidWalk(t *testing.T) {
 	cancelMidWalk(t, func(ctx context.Context, g, h *hypergraph.Hypergraph) error {
-		_, err := core.DecideContext(ctx, g, h)
+		_, err := core.NewDecider().DecideContext(ctx, g, h)
 		return err
 	})
 }

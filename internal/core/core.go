@@ -419,19 +419,10 @@ func precheckIntoIdx(g, h *hypergraph.Hypergraph, gi, hi *hypergraph.Index, gScr
 // preconditions (constants, cross-intersection, G ⊆ tr(H), H ⊆ tr(G)), then
 // the Boros–Makino tree search for a new transversal. On a negative verdict
 // the Result pinpoints the reason and, when the tree stage ran, carries a
-// witness and the fail leaf's path descriptor.
+// witness and the fail leaf's path descriptor. It runs on a fresh Decider;
+// callers with a ctx or a pinned state use Decider.DecideContext.
 func Decide(g, h *hypergraph.Hypergraph) (*Result, error) {
-	return DecideContext(context.Background(), g, h)
-}
-
-// DecideContext is Decide with cancellation: the tree search checks ctx at
-// every node it visits, so cancellation aborts the decomposition within one
-// tree-node boundary and returns ctx's error. The logspace-checkable
-// precondition stage runs to completion regardless (it is polynomial and
-// fast); a context that is already cancelled on entry aborts before the
-// first tree node.
-func DecideContext(ctx context.Context, g, h *hypergraph.Hypergraph) (*Result, error) {
-	return Detach(NewDecider().DecideContext(ctx, g, h))
+	return Detach(NewDecider().DecideContext(context.Background(), g, h))
 }
 
 // TrSubset decides tr(g) ⊆ h ("h contains every minimal transversal of g")
@@ -439,20 +430,14 @@ func DecideContext(ctx context.Context, g, h *hypergraph.Hypergraph) (*Result, e
 // leaf. This is the raw tree stage of Decide and the engine behind
 // NewTransversal; unlike Decide it does not require the minimality
 // preconditions, which the incremental applications of §1 of the paper
-// cannot guarantee mid-iteration.
+// cannot guarantee mid-iteration. Callers with a ctx use
+// Decider.TrSubsetContext.
 //
 // The returned Result has Dual = true iff tr(g) ⊆ h. On Dual = false the
 // Witness is a new transversal of g w.r.t. h and FailPath locates the fail
 // leaf in T(g,h).
 func TrSubset(g, h *hypergraph.Hypergraph) (*Result, error) {
-	return TrSubsetContext(context.Background(), g, h)
-}
-
-// TrSubsetContext is TrSubset with cancellation, under the same per-node
-// contract as DecideContext: a cancelled ctx aborts the DFS within one tree
-// node and surfaces ctx's error.
-func TrSubsetContext(ctx context.Context, g, h *hypergraph.Hypergraph) (*Result, error) {
-	return Detach(NewDecider().TrSubsetContext(ctx, g, h))
+	return Detach(NewDecider().TrSubsetContext(context.Background(), g, h))
 }
 
 // Detach returns the verdict of a Decider built for this one call, copying

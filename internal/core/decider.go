@@ -3,8 +3,8 @@ package core
 // Decider: the one decision state, and the one copy of the paper's
 // protocol — bind the incidence indexes, run the logspace-checkable
 // precheck, orient the pair so that |H| ≤ |G|, run the tree stage, and
-// unswap the witness. The package-level Decide/TrSubset/NewTransversal/
-// DecideParallel calls run it on a fresh Decider; internal/engine's
+// unswap the witness. The package-level Decide/TrSubset/NewTransversal
+// calls run it on a fresh Decider; internal/engine's
 // Session pins one and re-binds it to each new instance, so a long-lived
 // holder's repeated decisions are allocation-free at steady state — across
 // calls, not just within one — including on non-dual verdicts, whose
@@ -163,9 +163,10 @@ func (d *Decider) Precheck(g, h *hypergraph.Hypergraph) (*Result, bool, error) {
 	return &d.res, true, nil
 }
 
-// DecideContext is the package-level DecideContext on the decider's pinned
-// state, with the reuse contract documented on Decider. The tree stage is
-// the serial walk.
+// DecideContext is Decide on the decider's pinned state, with the reuse
+// contract documented on Decider, and with cancellation: a ctx already
+// cancelled on entry returns its error before the precheck runs, and the
+// tree stage — the serial walk — polls ctx at every node it visits.
 //
 //dual:allocfree
 func (d *Decider) DecideContext(ctx context.Context, g, h *hypergraph.Hypergraph) (*Result, error) {
@@ -190,10 +191,14 @@ func (d *Decider) DecideSearch(ctx context.Context, g, h *hypergraph.Hypergraph,
 	return d.decide(ctx, g, h, tree{search: search})
 }
 
-// decide is the protocol: precheck, orient, tree stage, unswap.
+// decide is the protocol: precheck, orient, tree stage, unswap. The
+// precheck polls nothing, so a cancelled ctx is honoured before it.
 //
 //dual:allocfree
 func (d *Decider) decide(ctx context.Context, g, h *hypergraph.Hypergraph, t tree) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	res, done, err := d.Precheck(g, h)
 	if err != nil || done {
 		return res, err
@@ -215,12 +220,16 @@ func (d *Decider) decide(ctx context.Context, g, h *hypergraph.Hypergraph, t tre
 	return &d.res, nil
 }
 
-// TrSubsetContext is the package-level TrSubsetContext on the decider's
-// pinned state: the first half of the precheck (validation, constants,
-// cross-intersection) as an input check, then the serial walk over T(g,h).
+// TrSubsetContext is TrSubset on the decider's pinned state, under
+// DecideContext's cancellation contract: the first half of the precheck
+// (validation, constants, cross-intersection) as an input check, then the
+// serial walk over T(g,h).
 //
 //dual:allocfree
 func (d *Decider) TrSubsetContext(ctx context.Context, g, h *hypergraph.Hypergraph) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	done, err := d.precheck(g, h, false)
 	if err != nil {
 		return nil, err
@@ -243,7 +252,8 @@ var (
 )
 
 // NewTransversal is the package-level NewTransversal on the decider's
-// pinned state; a tree-stage witness aliases it like a Result does. The
+// pinned state, with cancellation; a tree-stage witness aliases it like a
+// Result does. The
 // shapes the tree stage's input contract excludes are answered directly:
 // a constant g, an empty h, and ∅ ∈ h.
 func (d *Decider) NewTransversal(ctx context.Context, g, h *hypergraph.Hypergraph) (bitset.Set, bool, error) {

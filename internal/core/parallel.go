@@ -60,13 +60,6 @@ func ParallelSearchTotals() (spawns, steals, idleParks int64) {
 	return totalSpawns.Load(), totalSteals.Load(), totalIdleParks.Load()
 }
 
-// DecideParallel is Decide with the tree stage searched by a work-stealing
-// pool of `workers` goroutines (0 means GOMAXPROCS); see
-// Decider.DecideParallel for the verdict and cancellation contract.
-func DecideParallel(g, h *hypergraph.Hypergraph, workers int) (*Result, error) {
-	return Detach(NewDecider().DecideParallel(context.Background(), g, h, workers))
-}
-
 // stealSearch is the recyclable state of one work-stealing search run.
 type stealSearch struct {
 	g, h    *hypergraph.Hypergraph

@@ -9,8 +9,14 @@ import (
 
 	"dualspace/internal/core"
 	"dualspace/internal/gen"
+	"dualspace/internal/hypergraph"
 	"dualspace/internal/transversal"
 )
+
+// decideParallel is a one-shot parallel decision on a fresh Decider.
+func decideParallel(g, h *hypergraph.Hypergraph, workers int) (*core.Result, error) {
+	return core.Detach(core.NewDecider().DecideParallel(context.Background(), g, h, workers))
+}
 
 func TestParallelAgreesWithSerial(t *testing.T) {
 	for _, p := range gen.Families(17) {
@@ -19,7 +25,7 @@ func TestParallelAgreesWithSerial(t *testing.T) {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
 		for _, workers := range []int{0, 1, 4} {
-			par, err := core.DecideParallel(p.G, p.H, workers)
+			par, err := decideParallel(p.G, p.H, workers)
 			if err != nil {
 				t.Fatalf("%s: %v", p.Name, err)
 			}
@@ -54,7 +60,7 @@ func TestParallelRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		par, err := core.DecideParallel(g, h, 8)
+		par, err := decideParallel(g, h, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +81,7 @@ func TestParallelStatsSaneOnDual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := core.DecideParallel(g, h, 4)
+	par, err := decideParallel(g, h, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +99,10 @@ func TestParallelStatsSaneOnDual(t *testing.T) {
 func TestParallelConstantsAndErrors(t *testing.T) {
 	g := gen.Matching(2)
 	wrong := gen.Matching(3)
-	if _, err := core.DecideParallel(g, wrong, 2); err == nil {
+	if _, err := decideParallel(g, wrong, 2); err == nil {
 		t.Error("universe mismatch accepted")
 	}
-	res, err := core.DecideParallel(g, gen.MatchingDual(2), 2)
+	res, err := decideParallel(g, gen.MatchingDual(2), 2)
 	if err != nil || !res.Dual {
 		t.Fatalf("dual pair: %v %v", res, err)
 	}
@@ -115,7 +121,7 @@ func TestParallelFairnessOnSkewedTree(t *testing.T) {
 	m := gen.Majority(9)
 	var last *core.Result
 	for attempt := 0; attempt < 5; attempt++ {
-		res, err := core.DecideParallel(m, m, 4)
+		res, err := decideParallel(m, m, 4)
 		if err != nil || !res.Dual {
 			t.Fatalf("attempt %d: %v %v", attempt, res, err)
 		}
@@ -147,13 +153,13 @@ func TestParallelConcurrentDecides(t *testing.T) {
 			defer wg.Done()
 			for trial := 0; trial < 8; trial++ {
 				k := 3 + (i+trial)%3 // matching-3/4/5: three distinct universes
-				res, err := core.DecideParallel(gen.Matching(k), gen.MatchingDual(k), 3)
+				res, err := decideParallel(gen.Matching(k), gen.MatchingDual(k), 3)
 				if err != nil || !res.Dual {
 					t.Errorf("goroutine %d trial %d: %v %v", i, trial, res, err)
 					return
 				}
 				m := gen.Majority(5)
-				res, err = core.DecideParallel(m, gen.DropEdge(transversal.AsHypergraph(m), trial%3), 3)
+				res, err = decideParallel(m, gen.DropEdge(transversal.AsHypergraph(m), trial%3), 3)
 				if err != nil || res.Dual {
 					t.Errorf("goroutine %d trial %d: dropped-edge pair judged dual (%v %v)", i, trial, res, err)
 					return
@@ -171,18 +177,18 @@ func TestParallelSteadyStateAllocBudget(t *testing.T) {
 	// one-shot Decider's indexes and the Result. A literal zero is not
 	// achievable (channels are per-run by design — a closed channel cannot
 	// be reused), so this guards small constant budgets instead, independent
-	// of tree size (majority-7 walks ~2k nodes): one for the stateless
-	// core.DecideParallel and a tighter one for a pinned Decider, which
+	// of tree size (majority-7 walks ~2k nodes): one for a one-shot Decider
+	// (decideParallel) and a tighter one for a pinned Decider, which
 	// keeps the indexes and witness storage across calls.
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under -race; budget holds only on plain builds")
 	}
 	m := gen.Majority(7)
-	if _, err := core.DecideParallel(m, m, 4); err != nil {
+	if _, err := decideParallel(m, m, 4); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		res, err := core.DecideParallel(m, m, 4)
+		res, err := decideParallel(m, m, 4)
 		if err != nil || !res.Dual {
 			t.Fatal("wrong verdict")
 		}
@@ -224,7 +230,7 @@ func BenchmarkDecideParallelMajority7(b *testing.B) {
 	m := gen.Majority(7)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := core.DecideParallel(m, m, 0)
+		res, err := decideParallel(m, m, 0)
 		if err != nil || !res.Dual {
 			b.Fatal("wrong verdict")
 		}

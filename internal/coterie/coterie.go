@@ -107,20 +107,9 @@ func (c *Coterie) Dominates(d *Coterie) bool {
 	return true
 }
 
-// IsNonDominated decides non-domination via Proposition 1.3: the coterie is
-// non-dominated iff tr(H) = H, a self-duality instance of DUAL.
-func (c *Coterie) IsNonDominated() (bool, error) {
-	return c.IsNonDominatedContext(context.Background())
-}
-
-// IsNonDominatedContext is IsNonDominated with cancellation (see
-// core.DecideContext), on the default engine portfolio.
-func (c *Coterie) IsNonDominatedContext(ctx context.Context) (bool, error) {
-	return c.IsNonDominatedWith(ctx, engine.Default())
-}
-
-// IsNonDominatedWith is IsNonDominatedContext with a caller-chosen duality
-// engine.
+// IsNonDominatedWith decides non-domination via Proposition 1.3: the
+// coterie is non-dominated iff tr(H) = H, a self-duality instance of DUAL,
+// decided on eng under ctx.
 func (c *Coterie) IsNonDominatedWith(ctx context.Context, eng engine.Engine) (bool, error) {
 	res, err := eng.Decide(ctx, c.h, c.h)
 	if err != nil {
@@ -129,22 +118,12 @@ func (c *Coterie) IsNonDominatedWith(ctx context.Context, eng engine.Engine) (bo
 	return res.Dual, nil
 }
 
-// FindDominating returns a coterie that dominates c, or found = false when
-// c is non-dominated. It uses the duality engine's witness: a transversal T
-// of H containing no quorum yields the dominating coterie min(H ∪ {T}).
-func (c *Coterie) FindDominating() (*Coterie, bool, error) {
-	return c.FindDominatingContext(context.Background())
-}
-
-// FindDominatingContext is FindDominating with cancellation, on the default
-// engine portfolio.
-func (c *Coterie) FindDominatingContext(ctx context.Context) (*Coterie, bool, error) {
-	return c.FindDominatingWith(ctx, engine.Default())
-}
-
-// FindDominatingWith is FindDominatingContext with a caller-chosen duality
-// engine. Every engine reports precondition failures with core's Reason
-// taxonomy, so the witness-to-coterie conversion below is engine-independent.
+// FindDominatingWith returns a coterie that dominates c, or found = false
+// when c is non-dominated, deciding on eng under ctx. It uses the duality
+// engine's witness: a transversal T of H containing no quorum yields the
+// dominating coterie min(H ∪ {T}). Every engine reports precondition
+// failures with core's Reason taxonomy, so the witness-to-coterie
+// conversion below is engine-independent.
 func (c *Coterie) FindDominatingWith(ctx context.Context, eng engine.Engine) (*Coterie, bool, error) {
 	res, err := eng.Decide(ctx, c.h, c.h)
 	if err != nil {

@@ -1,13 +1,25 @@
 package coterie_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
 	"dualspace/internal/bitset"
 	"dualspace/internal/coterie"
+	"dualspace/internal/engine"
 	"dualspace/internal/hypergraph"
 )
+
+// isNonDominated and findDominating decide on the default portfolio under a
+// background context.
+func isNonDominated(c *coterie.Coterie) (bool, error) {
+	return c.IsNonDominatedWith(context.Background(), engine.Default())
+}
+
+func findDominating(c *coterie.Coterie) (*coterie.Coterie, bool, error) {
+	return c.FindDominatingWith(context.Background(), engine.Default())
+}
 
 func TestValidation(t *testing.T) {
 	if _, err := coterie.New(hypergraph.New(3)); err == nil {
@@ -40,7 +52,7 @@ func TestKnownConstructions(t *testing.T) {
 		{"star-5", coterie.Star(5, 1), false},
 	}
 	for _, c := range cases {
-		got, err := c.c.IsNonDominated()
+		got, err := isNonDominated(c.c)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -58,7 +70,7 @@ func TestWheelAndGridAgainstBrute(t *testing.T) {
 	// No hand-claimed ground truth here: just verify Proposition 1.3's
 	// equivalence on further structured families.
 	for _, c := range []*coterie.Coterie{coterie.Wheel(4), coterie.Wheel(5), coterie.Grid(2, 2), coterie.Grid(3, 3)} {
-		nd, err := c.IsNonDominated()
+		nd, err := isNonDominated(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +82,7 @@ func TestWheelAndGridAgainstBrute(t *testing.T) {
 
 func TestFindDominating(t *testing.T) {
 	star := coterie.Star(5, 0)
-	dom, found, err := star.FindDominating()
+	dom, found, err := findDominating(star)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +97,7 @@ func TestFindDominating(t *testing.T) {
 	}
 
 	maj := coterie.Majority(5)
-	if _, found, err := maj.FindDominating(); err != nil || found {
+	if _, found, err := findDominating(maj); err != nil || found {
 		t.Errorf("majority wrongly dominated (found=%v err=%v)", found, err)
 	}
 }
@@ -130,7 +142,7 @@ func TestRandomCoteriesProp13(t *testing.T) {
 			continue // not a coterie; draw again
 		}
 		trials++
-		nd, err := c.IsNonDominated()
+		nd, err := isNonDominated(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +150,7 @@ func TestRandomCoteriesProp13(t *testing.T) {
 			t.Fatalf("random coterie %v: Prop 1.3 equivalence broken", c)
 		}
 		// FindDominating must agree and produce a genuine dominator.
-		dom, found, err := c.FindDominating()
+		dom, found, err := findDominating(c)
 		if err != nil {
 			t.Fatal(err)
 		}

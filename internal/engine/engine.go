@@ -3,9 +3,8 @@
 // Boros–Makino decomposition (serial and parallel, internal/core), the
 // space-metered replay walker (internal/logspace), and the Fredman–Khachiyan
 // algorithms A and B (internal/fkdual) — plus a Portfolio that dispatches on
-// cheap instance features (with an optional racing mode) and a Session that
-// pins per-engine scratch so a long-lived holder's repeated decisions are
-// allocation-free across calls.
+// cheap instance features and a Session that pins per-engine scratch so a
+// long-lived holder's repeated decisions are allocation-free across calls.
 //
 // Every engine answers the same question with the same Result vocabulary:
 // Decide(ctx, g, h) reports whether h = tr(g), classifying negative verdicts
@@ -56,8 +55,8 @@ type Engine interface {
 	Name() string
 	// Caps reports the engine's capabilities.
 	Caps() Caps
-	// Decide reports whether h = tr(g), under core.DecideContext's input and
-	// cancellation contract.
+	// Decide reports whether h = tr(g), under core.Decider.DecideContext's
+	// input and cancellation contract.
 	Decide(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error)
 }
 
@@ -106,9 +105,13 @@ var (
 
 // fkRun is the FK adapter: the Decider's pinned precheck for the
 // precondition reasons, then the FK recursion on the unoriented pair for the
-// tree-equivalent stage.
+// tree-equivalent stage. Like Decider.DecideContext it answers a cancelled
+// ctx before the precheck.
 func fkRun(decide func(ctx context.Context, g, h *hypergraph.Hypergraph) (*fkdual.Result, error)) runFunc {
 	return func(d *core.Decider, ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if res, done, err := d.Precheck(g, h); err != nil || done {
 			return res, err
 		}
@@ -200,11 +203,11 @@ func ByName(name string) (Engine, error) {
 	return nil, fmt.Errorf("engine: unknown engine %q (have %v)", name, Names())
 }
 
-// defaultPortfolio is the shared default engine: a non-racing portfolio with
+// defaultPortfolio is the shared default engine: a portfolio with
 // GOMAXPROCS-wide parallel fallback. Portfolios are stateless, so one
 // instance serves every caller.
 var defaultPortfolio = NewPortfolio(PortfolioConfig{})
 
-// Default returns the engine used by every legacy entry point: the standard
+// Default returns the engine used when a caller names none: the standard
 // feature-dispatching portfolio.
 func Default() Engine { return defaultPortfolio }

@@ -130,26 +130,6 @@ func TestSessionRecorderReachesParallel(t *testing.T) {
 	}
 }
 
-func TestPortfolioRacing(t *testing.T) {
-	p := engine.NewPortfolio(engine.PortfolioConfig{Race: true})
-	ctx := context.Background()
-	for _, pair := range gen.Families(3) {
-		res, err := p.Decide(ctx, pair.G, pair.H)
-		if err != nil {
-			t.Fatalf("%s: %v", pair.Name, err)
-		}
-		if res.Dual != pair.Dual {
-			t.Errorf("%s: racing verdict %v, want %v", pair.Name, res.Dual, pair.Dual)
-		}
-	}
-	// A cancelled context surfaces as an error, not a verdict.
-	cancelled, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := p.Decide(cancelled, gen.Matching(4), gen.MatchingDual(4)); err == nil {
-		t.Error("racing on a cancelled context returned a verdict")
-	}
-}
-
 // TestSessionAllocFree is the acceptance guard for the session layer: after
 // warm-up, repeated Decide calls through one Session allocate nothing — on
 // dual verdicts and on non-dual (witness-carrying) verdicts alike, and under

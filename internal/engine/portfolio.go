@@ -14,11 +14,6 @@ package engine
 //     input is α-acyclic or has degeneracy ≤ 2, the structural classes §6 of
 //     the paper singles out: their decomposition trees stay shallow, so the
 //     serial walker wins again.
-//
-// Racing mode hedges the heuristic: the selected engine runs against a
-// contrasting one (FK-A against core engines, core against FK picks) under
-// a shared context, the first verdict wins and cancels the loser within one
-// tree-node/recursion-step boundary.
 
 import (
 	"context"
@@ -84,13 +79,10 @@ func countFeatures(g, h *hypergraph.Hypergraph) Features {
 }
 
 // PortfolioConfig parameterizes a Portfolio; the zero value is the default
-// non-racing portfolio with GOMAXPROCS-wide parallel fallback.
+// portfolio with GOMAXPROCS-wide parallel fallback.
 type PortfolioConfig struct {
 	// Workers bounds the parallel engine's goroutines (0 = GOMAXPROCS).
 	Workers int
-	// Race runs the selected engine against a contrasting one and takes the
-	// first verdict, cancelling the loser.
-	Race bool
 }
 
 // Portfolio is the feature-dispatching engine. It is stateless and safe for
@@ -99,13 +91,13 @@ type PortfolioConfig struct {
 // produce one).
 type Portfolio struct {
 	builtin
-	cfg                        PortfolioConfig
-	serial, parallel, fka, fkb *builtin
+	cfg                   PortfolioConfig
+	serial, parallel, fkb *builtin
 }
 
-// NewPortfolio returns a portfolio over the core and FK engines.
+// NewPortfolio returns a portfolio over the core and FK-B engines.
 func NewPortfolio(cfg PortfolioConfig) *Portfolio {
-	p := &Portfolio{cfg: cfg, serial: coreSerial, parallel: coreParallel(cfg.Workers), fka: fkA, fkb: fkB}
+	p := &Portfolio{cfg: cfg, serial: coreSerial, parallel: coreParallel(cfg.Workers), fkb: fkB}
 	p.builtin = builtin{name: "portfolio", caps: Caps{Parallel: true}, run: p.decide}
 	return p
 }
@@ -148,59 +140,8 @@ func (p *Portfolio) pick(g, h *hypergraph.Hypergraph) (*builtin, Features) {
 	return p.parallel, f
 }
 
-// rival returns the contrasting engine raced against the selection: the
-// FK-A baseline against core picks, the serial decomposition against FK
-// picks — maximally different search strategies, per the racing rationale.
-func (p *Portfolio) rival(sel *builtin) *builtin {
-	if sel == p.fkb {
-		return p.serial
-	}
-	return p.fka
-}
-
-// decide dispatches to the selected engine on d, or races it against its
-// rival when racing is configured. Racing runs two engines concurrently;
-// the single-threaded Decider cannot serve both, so each side decides on a
-// fresh one.
+// decide runs the selected engine on d.
 func (p *Portfolio) decide(d *core.Decider, ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
 	sel, _ := p.pick(g, h)
-	if p.cfg.Race {
-		return race(ctx, sel, p.rival(sel), g, h)
-	}
 	return sel.run(d, ctx, g, h)
-}
-
-// race runs a and b under a shared cancellable context and returns the first
-// verdict, cancelling the loser (which drains within one node boundary). It
-// waits for both goroutines before returning, so no work outlives the call.
-func race(ctx context.Context, a, b *builtin, g, h *hypergraph.Hypergraph) (*core.Result, error) {
-	rctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		res *core.Result
-		err error
-	}
-	ch := make(chan outcome, 2)
-	for _, e := range []*builtin{a, b} {
-		go func(e *builtin) {
-			res, err := e.Decide(rctx, g, h)
-			ch <- outcome{res, err}
-		}(e)
-	}
-	var winner *core.Result
-	var firstErr error
-	for i := 0; i < 2; i++ {
-		o := <-ch
-		switch {
-		case o.err == nil && winner == nil:
-			winner = o.res
-			cancel() // stop the loser; its (cancelled) error is discarded
-		case o.err != nil && firstErr == nil:
-			firstErr = o.err
-		}
-	}
-	if winner != nil {
-		return winner, nil
-	}
-	return nil, firstErr
 }

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
 	"dualspace/internal/coterie"
+	"dualspace/internal/engine"
 	"dualspace/internal/hypergraph"
 	"dualspace/internal/itemsets"
 	"dualspace/internal/keys"
@@ -34,7 +36,7 @@ func E10Mining() *Table {
 			if z <= 0 {
 				z = 1
 			}
-			da, err := itemsets.ComputeBorders(ds.d, z)
+			da, err := itemsets.ComputeBordersStreamWith(context.Background(), ds.d, z, engine.NewSession(nil), nil)
 			if err != nil {
 				t.Pass = false
 				continue
@@ -56,7 +58,7 @@ func E10Mining() *Table {
 				t.Pass = false
 				continue
 			}
-			idRes, err := itemsets.Identify(ds.d, z, da.MinInfrequent, da.MaxFrequent)
+			idRes, err := itemsets.IdentifyWith(context.Background(), ds.d, z, da.MinInfrequent, da.MaxFrequent, engine.Default())
 			if err != nil {
 				t.Pass = false
 				continue
@@ -68,7 +70,7 @@ func E10Mining() *Table {
 				for j := 1; j < da.MaxFrequent.M(); j++ {
 					partial.AddEdge(da.MaxFrequent.Edge(j))
 				}
-				inc, err := itemsets.Identify(ds.d, z, da.MinInfrequent, partial)
+				inc, err := itemsets.IdentifyWith(context.Background(), ds.d, z, da.MinInfrequent, partial, engine.Default())
 				if err != nil || inc.Complete || (inc.NewMaxFrequent == nil && inc.NewMinInfrequent == nil) {
 					identOK = false
 				}
@@ -102,7 +104,7 @@ func E11Keys() *Table {
 		nRows := 4 + 2*trial
 		rel := randomRelation(r, nAttrs, nRows, 2+trial%2)
 		brute := rel.MinimalKeysBrute()
-		got, calls, err := rel.EnumerateKeysIncrementally()
+		got, calls, err := rel.EnumerateKeysIncrementallyWith(context.Background(), engine.NewSession(nil))
 		if err != nil {
 			t.Pass = false
 			continue
@@ -115,7 +117,7 @@ func E11Keys() *Table {
 			for j := 1; j < brute.M(); j++ {
 				partial.AddEdge(brute.Edge(j))
 			}
-			res, err := rel.AdditionalKey(partial)
+			res, err := rel.AdditionalKeyWith(context.Background(), partial, engine.NewSessionMemo(nil, -1))
 			if err != nil || res.Complete || !rel.IsMinimalKey(res.NewKey) {
 				dropDetected = false
 			}
@@ -183,7 +185,7 @@ func E12Coteries() *Table {
 		}
 	}
 	for _, cs := range cases {
-		nd, err := cs.c.IsNonDominated()
+		nd, err := cs.c.IsNonDominatedWith(context.Background(), engine.Default())
 		if err != nil {
 			t.Pass = false
 			continue
@@ -192,7 +194,7 @@ func E12Coteries() *Table {
 		consistent := nd != dominated
 		improvable := "-"
 		if dominated {
-			dom, found, err := cs.c.FindDominating()
+			dom, found, err := cs.c.FindDominatingWith(context.Background(), engine.Default())
 			if err != nil || !found || !dom.Dominates(cs.c) {
 				consistent = false
 			} else {

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"time"
 
 	"dualspace/internal/bitset"
 	"dualspace/internal/core"
+	"dualspace/internal/engine"
 	"dualspace/internal/gen"
 	"dualspace/internal/hypergraph"
 	"dualspace/internal/keys"
@@ -40,7 +42,7 @@ func E17Delay() *Table {
 		dfsCount := 0
 		last := time.Now()
 		dfsFam := hypergraph.New(inst.g.N())
-		transversal.Enumerate(inst.g, func(s bitset.Set) bool {
+		if err := transversal.EnumerateContext(context.Background(), inst.g, func(s bitset.Set) (bool, error) {
 			now := time.Now()
 			if d := now.Sub(last); d > dfsMax {
 				dfsMax = d
@@ -48,8 +50,11 @@ func E17Delay() *Table {
 			last = now
 			dfsCount++
 			dfsFam.AddEdge(s)
-			return true
-		})
+			return true, nil
+		}); err != nil {
+			t.Pass = false
+			continue
+		}
 
 		// Oracle-driven enumeration: each output costs exactly one duality
 		// run plus a minimalization.
@@ -125,7 +130,7 @@ func E18Armstrong() *Table {
 		}
 		got := rel.MinimalKeys()
 		match := got.EqualAsFamily(f.k)
-		res, err := rel.AdditionalKey(f.k)
+		res, err := rel.AdditionalKeyWith(context.Background(), f.k, engine.NewSessionMemo(nil, -1))
 		if err != nil {
 			t.Pass = false
 			continue
@@ -133,7 +138,11 @@ func E18Armstrong() *Table {
 		if !match || !res.Complete {
 			t.Pass = false
 		}
-		trK := transversal.Count(f.k)
+		trK, err := transversal.CountContext(context.Background(), f.k)
+		if err != nil {
+			t.Pass = false
+			continue
+		}
 		t.AddRow(f.name, f.k.N(), f.k.M(), trK, rel.NumRows(), match, res.Complete)
 	}
 	t.Notes = append(t.Notes,

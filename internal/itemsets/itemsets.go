@@ -12,12 +12,12 @@
 //
 // Two algorithms are provided on top of that identity:
 //
-//   - Borders runs the incremental "dualize and advance" loop the paper
-//     describes: keep candidate families G ⊆ IS− and H ⊆ IS+, test
-//     G = tr(Hᶜ) with the duality engine, and convert each negative
-//     verdict (precondition violation or new transversal) into a new
-//     verified border element.
-//   - Identify solves MaxFreq-MinInfreq-Identification: given claimed
+//   - ComputeBordersStreamWith runs the incremental "dualize and advance"
+//     loop the paper describes: keep candidate families G ⊆ IS− and
+//     H ⊆ IS+, test G = tr(Hᶜ) with the duality engine, and convert each
+//     negative verdict (precondition violation or new transversal) into a
+//     new verified border element.
+//   - IdentifyWith solves MaxFreq-MinInfreq-Identification: given claimed
 //     G and H, decide whether they are complete (Proposition 1.1 reduces
 //     this to DUAL), reporting a counterexample itemset when they are not.
 //
@@ -187,30 +187,6 @@ type Borders struct {
 	DualityChecks int
 }
 
-// ComputeBorders runs the dualize-and-advance loop: starting from one
-// greedily found maximal frequent itemset it alternates a duality check of
-// (Hᶜ, G) with the extraction of one new verified border element from the
-// verdict, exactly the incremental pattern of §1 of the paper.
-func ComputeBorders(d *Dataset, z int) (*Borders, error) {
-	return ComputeBordersContext(context.Background(), d, z)
-}
-
-// ComputeBordersContext is ComputeBorders with cancellation: every duality
-// check of the dualize-and-advance loop polls ctx at every tree node (see
-// core.DecideContext), so cancelling aborts the mining mid-loop with ctx's
-// error. The duality checks run on one default-portfolio session per call,
-// so the checks of one mine share pinned scratch and the subinstance memo.
-func ComputeBordersContext(ctx context.Context, d *Dataset, z int) (*Borders, error) {
-	return ComputeBordersWith(ctx, d, z, engine.NewSession(nil))
-}
-
-// ComputeBordersWith is ComputeBordersContext with the duality engine chosen
-// by the caller — typically an engine.Session, so that the |IS+| + |IS−| + 1
-// decisions of one mining run share pinned scratch.
-func ComputeBordersWith(ctx context.Context, d *Dataset, z int, eng engine.Engine) (*Borders, error) {
-	return ComputeBordersStreamWith(ctx, d, z, eng, nil)
-}
-
 // BorderEvent is one border element the incremental loop has just verified:
 // the progress unit of the streaming miner. Set aliases the stored edge —
 // treat it as read-only, and clone before retaining past the callback.
@@ -225,11 +201,18 @@ type BorderEvent struct {
 	DualityChecks int
 }
 
-// ComputeBordersStreamWith is ComputeBordersWith with progress streaming:
-// onFound (when non-nil) is called synchronously with every border element
-// the moment it is verified, in discovery order — the dualize-and-advance
-// loop made observable, which is what POST /v1/mine streams to clients. A
-// non-nil error from onFound aborts the mining and is returned as is.
+// ComputeBordersStreamWith runs the dualize-and-advance loop: starting from
+// one greedily found maximal frequent itemset it alternates a duality check
+// of (Hᶜ, G) with the extraction of one new verified border element from
+// the verdict, exactly the incremental pattern of §1 of the paper.
+//
+// The checks run on eng — typically an engine.Session, so that the
+// |IS+| + |IS−| + 1 decisions of one mining run share pinned scratch — and
+// each polls ctx at every tree node, so cancelling aborts the mining
+// mid-loop with ctx's error. onFound (when non-nil) is called synchronously
+// with every border element the moment it is verified, in discovery order —
+// the loop made observable, which is what POST /v1/mine streams to clients.
+// A non-nil error from onFound aborts the mining and is returned as is.
 func ComputeBordersStreamWith(ctx context.Context, d *Dataset, z int, eng engine.Engine, onFound func(BorderEvent) error) (*Borders, error) {
 	if err := d.validateThreshold(z); err != nil {
 		return nil, err
@@ -391,19 +374,13 @@ type IdentifyResult struct {
 	NewMaxFrequent, NewMinInfrequent *bitset.Set
 }
 
-// Identify solves the paper's MaxFreq-MinInfreq-Identification problem:
-// given claimed families h ⊆ IS+ and g ⊆ IS−, decide whether there exists
-// an additional maximal frequent or minimal infrequent itemset
+// IdentifyWith solves the paper's MaxFreq-MinInfreq-Identification
+// problem: given claimed families h ⊆ IS+ and g ⊆ IS−, decide whether there
+// exists an additional maximal frequent or minimal infrequent itemset
 // (Proposition 1.1: this is logspace-equivalent to DUAL — after verifying
 // the membership claims, completeness is exactly G = tr(Hᶜ)). On
 // incompleteness a concrete missing border element is returned. The duality
-// check runs on the default engine portfolio; IdentifyWith chooses.
-func Identify(d *Dataset, z int, g, h *hypergraph.Hypergraph) (*IdentifyResult, error) {
-	return IdentifyWith(context.Background(), d, z, g, h, engine.Default())
-}
-
-// IdentifyWith is Identify with cancellation and a caller-chosen duality
-// engine.
+// check runs on eng and polls ctx like ComputeBordersStreamWith's.
 func IdentifyWith(ctx context.Context, d *Dataset, z int, g, h *hypergraph.Hypergraph, eng engine.Engine) (*IdentifyResult, error) {
 	if err := d.validateThreshold(z); err != nil {
 		return nil, err

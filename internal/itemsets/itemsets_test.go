@@ -11,6 +11,16 @@ import (
 	"dualspace/internal/hypergraph"
 )
 
+// computeBorders mines on one fresh session under a background context.
+func computeBorders(d *Dataset, z int) (*Borders, error) {
+	return ComputeBordersStreamWith(context.Background(), d, z, engine.NewSession(nil), nil)
+}
+
+// identify decides on the default portfolio under a background context.
+func identify(d *Dataset, z int, g, h *hypergraph.Hypergraph) (*IdentifyResult, error) {
+	return IdentifyWith(context.Background(), d, z, g, h, engine.Default())
+}
+
 // tinyDataset is the worked example used across the tests:
 // items {0,1,2,3}, 6 rows.
 func tinyDataset() *Dataset {
@@ -79,13 +89,13 @@ func TestBorderPredicates(t *testing.T) {
 func TestThresholdValidation(t *testing.T) {
 	d := tinyDataset()
 	for _, z := range []int{0, -1, 7} {
-		if _, err := ComputeBorders(d, z); err == nil {
+		if _, err := computeBorders(d, z); err == nil {
 			t.Errorf("threshold %d accepted", z)
 		}
 		if _, err := BordersApriori(d, z); err == nil {
 			t.Errorf("apriori threshold %d accepted", z)
 		}
-		if _, err := Identify(d, z, hypergraph.New(4), hypergraph.New(4)); err == nil {
+		if _, err := identify(d, z, hypergraph.New(4), hypergraph.New(4)); err == nil {
 			t.Errorf("identify threshold %d accepted", z)
 		}
 	}
@@ -98,7 +108,7 @@ func TestBordersAgreeTiny(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		da, err := ComputeBorders(d, z)
+		da, err := computeBorders(d, z)
 		if err != nil {
 			t.Fatalf("z=%d: %v", z, err)
 		}
@@ -129,7 +139,7 @@ func TestBordersRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		da, err := ComputeBorders(d, z)
+		da, err := computeBorders(d, z)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -159,7 +169,7 @@ func TestBordersDegenerate(t *testing.T) {
 	d := NewDataset(3)
 	d.AddRow()
 	d.AddRow()
-	b, err := ComputeBorders(d, 1)
+	b, err := computeBorders(d, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +181,7 @@ func TestBordersDegenerate(t *testing.T) {
 		t.Errorf("IS− = %v, want the three singletons", b.MinInfrequent)
 	}
 	// z = rows: nothing frequent, IS− = {∅}.
-	b2, err := ComputeBorders(d, 2)
+	b2, err := computeBorders(d, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +193,7 @@ func TestBordersDegenerate(t *testing.T) {
 	full := NewDataset(3)
 	full.AddRow(0, 1, 2)
 	full.AddRow(0, 1, 2)
-	b3, err := ComputeBorders(full, 1)
+	b3, err := computeBorders(full, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +211,7 @@ func TestIdentify(t *testing.T) {
 	}
 
 	// Complete claims verify.
-	res, err := Identify(d, z, brute.MinInfrequent, brute.MaxFrequent)
+	res, err := identify(d, z, brute.MinInfrequent, brute.MaxFrequent)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +225,7 @@ func TestIdentify(t *testing.T) {
 		for j := 1; j < brute.MaxFrequent.M(); j++ {
 			partial.AddEdge(brute.MaxFrequent.Edge(j))
 		}
-		res, err := Identify(d, z, brute.MinInfrequent, partial)
+		res, err := identify(d, z, brute.MinInfrequent, partial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +255,7 @@ func TestIdentify(t *testing.T) {
 
 	// Bogus claims are flagged.
 	bogusMax := hypergraph.MustFromEdges(4, [][]int{{0, 3}}) // infrequent
-	res, err = Identify(d, z, hypergraph.New(4), bogusMax)
+	res, err = identify(d, z, hypergraph.New(4), bogusMax)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +263,7 @@ func TestIdentify(t *testing.T) {
 		t.Errorf("bogus IS+ claim not flagged: %+v", res)
 	}
 	bogusMin := hypergraph.MustFromEdges(4, [][]int{{0}}) // frequent
-	res, err = Identify(d, z, bogusMin, hypergraph.New(4))
+	res, err = identify(d, z, bogusMin, hypergraph.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +290,7 @@ func TestIdentifyRandomIncremental(t *testing.T) {
 		h := hypergraph.New(n)
 		steps := 0
 		for {
-			res, err := Identify(d, z, g, h)
+			res, err := identify(d, z, g, h)
 			if err != nil {
 				t.Fatal(err)
 			}

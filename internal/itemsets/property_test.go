@@ -18,7 +18,7 @@ func TestPropertyBorderCoverage(t *testing.T) {
 		rows := 3 + r.Intn(8)
 		d := GenerateRandom(r, n, rows, 0.3+r.Float64()*0.3)
 		z := 1 + r.Intn(rows)
-		b, err := ComputeBorders(d, z)
+		b, err := computeBorders(d, z)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestPropertyBordersAreAntichains(t *testing.T) {
 		rows := 3 + r.Intn(10)
 		d := GenerateRandom(r, n, rows, 0.4)
 		z := 1 + r.Intn(rows)
-		b, err := ComputeBorders(d, z)
+		b, err := computeBorders(d, z)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -105,7 +105,7 @@ func TestArmstrongRandomRoundTrip(t *testing.T) {
 		}
 		// The additional-key machinery agrees: K claimed on its own
 		// Armstrong relation is complete.
-		res, err := rel.AdditionalKey(k)
+		res, err := additionalKey(rel, k)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -193,29 +193,18 @@ type AdditionalKeyResult struct {
 	DualityStats core.Stats
 }
 
-// AdditionalKey decides the additional-key-for-instance problem: does R
-// have a minimal key not in known? Every member of known must be a minimal
-// key of r (otherwise an error is returned: the problem, as defined in the
-// paper, presumes K contains minimal keys). The decision runs the
+// AdditionalKeyWith decides the additional-key-for-instance problem: does
+// R have a minimal key not in known? Every member of known must be a
+// minimal key of r (otherwise an error is returned: the problem, as defined
+// in the paper, presumes K contains minimal keys). The decision runs the
 // Boros–Makino tree on the pair (difference sets, known keys), and on
 // incompleteness returns a concrete new minimal key extracted from the fail
 // leaf's witness.
-func (r *Relation) AdditionalKey(known *hypergraph.Hypergraph) (*AdditionalKeyResult, error) {
-	return r.AdditionalKeyContext(context.Background(), known)
-}
-
-// AdditionalKeyContext is AdditionalKey with cancellation: the underlying
-// tree search polls ctx at every node (see core.TrSubsetContext). The
-// decision runs on a one-shot memo-less session; AdditionalKeyWith takes a
-// long-lived one.
-func (r *Relation) AdditionalKeyContext(ctx context.Context, known *hypergraph.Hypergraph) (*AdditionalKeyResult, error) {
-	return r.AdditionalKeyWith(ctx, known, engine.NewSessionMemo(nil, -1))
-}
-
-// AdditionalKeyWith is AdditionalKeyContext on a caller-held session. The
-// question tr(D) ⊆ K is the raw tree stage (Session.TrSubset), which every
-// engine would answer alike; the session pins scratch across the
-// incremental calls of EnumerateKeysIncrementallyWith.
+//
+// The question tr(D) ⊆ K is the raw tree stage (Session.TrSubset), which
+// every engine would answer alike; it runs on sess, which pins scratch
+// across the incremental calls of EnumerateKeysIncrementallyWith, and polls
+// ctx at every tree node.
 func (r *Relation) AdditionalKeyWith(ctx context.Context, known *hypergraph.Hypergraph, sess *engine.Session) (*AdditionalKeyResult, error) {
 	n := len(r.attrs)
 	if known.N() != n {
@@ -262,22 +251,11 @@ func (r *Relation) AdditionalKeyWith(ctx context.Context, known *hypergraph.Hype
 	return &AdditionalKeyResult{NewKey: k, FoundNew: true, DualityStats: res.Stats}, nil
 }
 
-// EnumerateKeysIncrementally enumerates all minimal keys through repeated
-// AdditionalKey calls — the paper's incremental pattern specialized to key
-// discovery. It returns the keys in discovery order.
-func (r *Relation) EnumerateKeysIncrementally() (*hypergraph.Hypergraph, int, error) {
-	return r.EnumerateKeysIncrementallyContext(context.Background())
-}
-
-// EnumerateKeysIncrementallyContext is EnumerateKeysIncrementally with
-// cancellation between and within the additional-key calls. Each run pins a
-// fresh engine session, so the |keys| + 1 decisions share scratch.
-func (r *Relation) EnumerateKeysIncrementallyContext(ctx context.Context) (*hypergraph.Hypergraph, int, error) {
-	return r.EnumerateKeysIncrementallyWith(ctx, engine.NewSession(nil))
-}
-
-// EnumerateKeysIncrementallyWith is EnumerateKeysIncrementallyContext on a
-// caller-held (typically long-lived) session.
+// EnumerateKeysIncrementallyWith enumerates all minimal keys through
+// repeated AdditionalKeyWith calls on sess — the paper's incremental
+// pattern specialized to key discovery, so the |keys| + 1 decisions share
+// scratch — with cancellation between and within the calls. It returns the
+// keys in discovery order and the number of calls.
 func (r *Relation) EnumerateKeysIncrementallyWith(ctx context.Context, sess *engine.Session) (*hypergraph.Hypergraph, int, error) {
 	known := hypergraph.New(len(r.attrs))
 	calls := 0

@@ -13,6 +13,17 @@ import (
 	"dualspace/internal/keys"
 )
 
+// additionalKey decides on a memo-less session under a background context.
+func additionalKey(r *keys.Relation, known *hypergraph.Hypergraph) (*keys.AdditionalKeyResult, error) {
+	return r.AdditionalKeyWith(context.Background(), known, engine.NewSessionMemo(nil, -1))
+}
+
+// enumerateKeys runs the incremental loop on one session under a
+// background context.
+func enumerateKeys(r *keys.Relation) (*hypergraph.Hypergraph, int, error) {
+	return r.EnumerateKeysIncrementallyWith(context.Background(), engine.NewSession(nil))
+}
+
 // employees is the worked example: name is a key, (dept, room) is a key.
 func employees() *keys.Relation {
 	r := keys.MustNewRelation([]string{"name", "dept", "room", "city"})
@@ -111,7 +122,7 @@ func TestAdditionalKey(t *testing.T) {
 	all := r.MinimalKeysBrute()
 
 	// Complete claims.
-	res, err := r.AdditionalKey(all)
+	res, err := additionalKey(r, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +138,7 @@ func TestAdditionalKey(t *testing.T) {
 				partial.AddEdge(all.Edge(j))
 			}
 		}
-		res, err := r.AdditionalKey(partial)
+		res, err := additionalKey(r, partial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,11 +155,11 @@ func TestAdditionalKey(t *testing.T) {
 
 	// Invalid claims are rejected.
 	bogus := hypergraph.MustFromEdges(4, [][]int{{1}}) // dept alone is no key
-	if _, err := r.AdditionalKey(bogus); err == nil {
+	if _, err := additionalKey(r, bogus); err == nil {
 		t.Error("non-key claim accepted")
 	}
 	wrong := hypergraph.MustFromEdges(5, [][]int{{0}})
-	if _, err := r.AdditionalKey(wrong); err == nil {
+	if _, err := additionalKey(r, wrong); err == nil {
 		t.Error("universe mismatch accepted")
 	}
 }
@@ -159,7 +170,7 @@ func TestDegenerateRelations(t *testing.T) {
 	if err := r1.AddRow("x", "y"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r1.AdditionalKey(hypergraph.New(2))
+	res, err := additionalKey(r1, hypergraph.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +179,7 @@ func TestDegenerateRelations(t *testing.T) {
 	}
 	complete := hypergraph.New(2)
 	complete.AddEdgeElems()
-	res, err = r1.AdditionalKey(complete)
+	res, err = additionalKey(r1, complete)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +195,7 @@ func TestDegenerateRelations(t *testing.T) {
 	if err := r2.AddRow("x"); err != nil {
 		t.Fatal(err)
 	}
-	res, err = r2.AdditionalKey(hypergraph.New(1))
+	res, err = additionalKey(r2, hypergraph.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +209,7 @@ func TestDegenerateRelations(t *testing.T) {
 
 func TestEnumerateKeysIncrementally(t *testing.T) {
 	r := employees()
-	got, calls, err := r.EnumerateKeysIncrementally()
+	got, calls, err := enumerateKeys(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +246,7 @@ func TestRandomRelations(t *testing.T) {
 		if got := rel.MinimalKeys(); !got.EqualAsFamily(want) {
 			t.Fatalf("trial %d: MinimalKeys %v != brute %v", trial, got, want)
 		}
-		got, _, err := rel.EnumerateKeysIncrementally()
+		got, _, err := enumerateKeys(rel)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

@@ -197,7 +197,7 @@ func statusOf(ctx context.Context, err error) int {
 func (s *Server) inSlot(w http.ResponseWriter, r *http.Request, budget time.Duration, run func(context.Context, *engine.Session) error) {
 	ctx, cancel, err := s.budgetCtx(r, budget)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	defer cancel()
@@ -257,7 +257,7 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, ctx context.Contex
 	switch status := s.classify(r, ctx, err); status {
 	case 0: // no one to answer
 	case http.StatusUnprocessableEntity:
-		s.writeError(w, status, err)
+		s.writeError(w, r, status, err)
 	case http.StatusServiceUnavailable:
 		w.Header().Set("Retry-After", s.retryAfter)
 		fallthrough

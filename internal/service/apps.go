@@ -40,16 +40,16 @@ type bordersResponse struct {
 func (s *Server) handleBorders(w http.ResponseWriter, r *http.Request) {
 	var req bordersRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	d, sy, err := hgio.ParseDataset(s.cfg.Limits, req.Data)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	s.inSlot(w, r, s.cfg.AppsTimeout, func(ctx context.Context, sess *engine.Session) error {
-		b, err := itemsets.ComputeBordersWith(ctx, d, req.Z, sess)
+		b, err := itemsets.ComputeBordersStreamWith(ctx, d, req.Z, sess, nil)
 		if err != nil {
 			return err
 		}
@@ -83,12 +83,12 @@ type keysResponse struct {
 func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 	var req keysRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	rel, err := hgio.ReadRelationCSVLimited(strings.NewReader(req.CSV), s.cfg.Limits)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	attrSym := hgio.NewSymbols(rel.Attrs()...)
@@ -99,7 +99,7 @@ func (s *Server) handleKeys(w http.ResponseWriter, r *http.Request) {
 			err = fmt.Errorf("unknown attribute %q in known keys", attrSym.Name(rel.NumAttrs()))
 		}
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
+			s.writeError(w, r, http.StatusBadRequest, err)
 			return
 		}
 		known = hs[0]
@@ -152,17 +152,17 @@ type coteriesResponse struct {
 func (s *Server) handleCoteries(w http.ResponseWriter, r *http.Request) {
 	var req coteriesRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	hs, sy, err := hgio.ParseHypergraphs(s.cfg.Limits, nil, req.Quorums)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	c, err := coterie.New(hs[0])
 	if err != nil {
-		s.writeError(w, http.StatusUnprocessableEntity, err)
+		s.writeError(w, r, http.StatusUnprocessableEntity, err)
 		return
 	}
 	s.inSlot(w, r, s.cfg.AppsTimeout, func(ctx context.Context, sess *engine.Session) error {

@@ -95,7 +95,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if p := r.URL.Query().Get("parallelism"); p != "" {
 		n, err := strconv.Atoi(p)
 		if err != nil || n < 1 {
-			s.writeError(w, http.StatusBadRequest, fmt.Errorf("bad parallelism %q", p))
+			s.writeError(w, r, http.StatusBadRequest, fmt.Errorf("bad parallelism %q", p))
 			return
 		}
 		parallelism = n
@@ -104,7 +104,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// timeout taxonomy, and the terminal record says why.
 	ctx, cancel, err := s.budgetCtx(r, s.cfg.BatchTimeout)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	defer cancel()
@@ -122,7 +122,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// — body up front so streaming responses cannot kill the parse.
 		data, err := io.ReadAll(src)
 		if err != nil {
-			s.writeError(w, http.StatusBadRequest, err)
+			s.writeError(w, r, http.StatusBadRequest, err)
 			return
 		}
 		src = bytes.NewReader(data)

@@ -36,8 +36,7 @@ import (
 func (s *Server) handleClusterVerdict(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel, err := s.budgetCtx(r, s.cfg.DecideTimeout)
 	if err != nil {
-		accessFrom(r.Context()).outcome = "error"
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	defer cancel()

@@ -68,17 +68,17 @@ type mineEndRecord struct {
 func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	var req mineRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	eng, err := engine.ByName(req.Engine)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	d, sy, err := hgio.ParseDataset(s.cfg.Limits, req.Data)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	s.inSlot(w, r, s.cfg.MineTimeout, func(ctx context.Context, sess *engine.Session) error {

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // promSample is one parsed exposition line.
@@ -391,5 +392,55 @@ func TestAccessLog(t *testing.T) {
 	}
 	if rec["fg"] == nil || rec["fh"] == nil || rec["latency"] == nil || rec["bytes"] == nil {
 		t.Errorf("access log missing fields: %v", rec)
+	}
+}
+
+// TestAccessLogRejectedRequests: every request an endpoint rejects with a
+// 400 — a malformed body, an unparsable text, a bad ?timeout_ms= or
+// ?parallelism= — logs outcome "error", on all eight request endpoints.
+func TestAccessLogRejectedRequests(t *testing.T) {
+	decide := `{"g":"a b","h":"a\nb"}`
+	for _, ep := range []struct {
+		path, body, badText string
+	}{
+		{"/v1/decide", decide, `{"g":"a b","h":"a","engine":"quantum"}`},
+		{"/v1/cluster/verdict", decide, `{"g":"a b","h":"a","engine":"quantum"}`},
+		{"/v1/mine", `{"data":"a b\n","z":1}`, `{"data":"a b\n","z":1,"engine":"quantum"}`},
+		{"/v1/borders", `{"data":"a b\n","z":1}`, `{"data":"a - b\n","z":1}`},
+		{"/v1/keys", `{"csv":"x,y\n1,2\n"}`, `{"csv":"x,y\n1,2\n","known":"z"}`},
+		{"/v1/coteries", `{"quorums":"a b\n"}`, `{"quorums":"a - b\n"}`},
+		{"/v1/transversals", `{"h":"a b\n"}`, `{"h":"a - b\n"}`},
+		{"/v1/batch", decide + "\n", ""},
+	} {
+		type rejected struct{ query, body string }
+		cases := []rejected{{"?timeout_ms=0", ep.body}, {"", "{"}, {"", ep.badText}}
+		if ep.path == "/v1/batch" {
+			// Rows fail one by one inside a 200 stream; the whole request
+			// is rejected only for its query.
+			cases = []rejected{{"?timeout_ms=0", ep.body}, {"?parallelism=0", ep.body}}
+		}
+		for _, tc := range cases {
+			logs := &syncBuffer{}
+			_, ts := newTestServer(t, Config{Workers: 1, Logger: slog.New(slog.NewJSONHandler(logs, nil))})
+			resp, err := http.Post(ts.URL+ep.path+tc.query, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s%s %q: status %d (%s), want 400", ep.path, tc.query, tc.body, resp.StatusCode, msg)
+			}
+			var rec map[string]any
+			for deadline := time.Now().Add(5 * time.Second); rec == nil; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s%s: no access-log record", ep.path, tc.query)
+				}
+				rec = logs.record(t, ep.path)
+			}
+			if rec["outcome"] != "error" || rec["status"] != float64(http.StatusBadRequest) {
+				t.Errorf("%s%s %q: access log outcome=%v status=%v, want error 400", ep.path, tc.query, tc.body, rec["outcome"], rec["status"])
+			}
+		}
 	}
 }

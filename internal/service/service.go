@@ -394,11 +394,12 @@ type errorResponse struct {
 
 // writeError renders a request-class JSON error with the status matching
 // the failure: 413 for input-limit violations (hgio limits and the body
-// bound alike), the given status otherwise. The resilience outcomes —
-// shed, timeout, panic — are answered by fail (admission.go) and are not
-// counted as bad requests.
-func (s *Server) writeError(w http.ResponseWriter, status int, err error) {
+// bound alike), the given status otherwise, and logs the request's outcome
+// as "error". The resilience outcomes — shed, timeout, panic — are
+// answered by fail (admission.go) and are not counted as bad requests.
+func (s *Server) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	s.badRequests.Add(1)
+	accessFrom(r.Context()).outcome = "error"
 	var mbe *http.MaxBytesError
 	if errors.Is(err, hgio.ErrLimitExceeded) || errors.As(err, &mbe) {
 		status = http.StatusRequestEntityTooLarge
@@ -798,8 +799,7 @@ func (s *Server) decodeQuery(w http.ResponseWriter, r *http.Request) (q batch.Qu
 		q, sy, err = s.parseQuery(req)
 	}
 	if err != nil {
-		ai.outcome = "error"
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return q, req, nil, false
 	}
 	q.Parse += decode
@@ -811,8 +811,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ctx, cancel, err := s.budgetCtx(r, s.cfg.DecideTimeout)
 	if err != nil {
-		accessFrom(r.Context()).outcome = "error"
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	defer cancel()

@@ -127,12 +127,12 @@ type streamEndRecord struct {
 func (s *Server) handleTransversals(w http.ResponseWriter, r *http.Request) {
 	var req transversalsRequest
 	if err := s.decodeJSON(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	hs, sy, err := hgio.ParseHypergraphs(s.cfg.Limits, nil, req.H)
 	if err != nil {
-		s.writeError(w, http.StatusBadRequest, err)
+		s.writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
 	limit := req.Limit

@@ -6,7 +6,7 @@
 //   - Berge: sequential Berge multiplication with stepwise minimization, the
 //     classical textbook algorithm. Exponential in the worst case but simple
 //     and a trusted oracle for tests.
-//   - Enumerate (DFS): a branch-and-bound enumerator over candidate vertices
+//   - EnumerateContext (DFS): a branch-and-bound enumerator over candidate vertices
 //     with critical-edge pruning in the style of Murakami–Uno's MMCS. Each
 //     minimal transversal is emitted exactly once, with polynomial space.
 //   - BruteForce: exhaustive 2^n scan, for tiny universes only; a second
@@ -86,9 +86,14 @@ func minimizeSets(sets []bitset.Set, pool *bitset.Pool) []bitset.Set {
 	return out
 }
 
-// Enumerate emits every minimal transversal of h exactly once, calling yield
-// for each. Enumeration stops early if yield returns false. The sets passed
-// to yield are fresh copies owned by the callee.
+// EnumerateContext emits every minimal transversal of h exactly once,
+// calling yield for each. The sets passed to yield are fresh copies owned
+// by the callee. Enumeration stops cleanly when yield returns false; a
+// yield error aborts it and is returned verbatim, and a cancelled ctx
+// aborts the DFS within one search-node boundary and returns ctx's error.
+// A nil return means the enumeration ran to completion or yield asked to
+// stop cleanly — the distinction streaming endpoints need to tell a
+// truncated stream from a failed one.
 //
 // The algorithm is a depth-first search that grows a partial transversal S
 // one vertex at a time, always branching on an uncovered edge with the
@@ -96,27 +101,13 @@ func minimizeSets(sets []bitset.Set, pool *bitset.Pool) []bitset.Set {
 // loses its critical edge (no minimal transversal can extend such an S).
 // Duplicate suppression follows the standard prefix-exclusion rule: within a
 // branching edge the i-th candidate's subtree excludes candidates 1..i−1.
-func Enumerate(h *hypergraph.Hypergraph, yield func(bitset.Set) bool) {
-	// The infallible yield cannot produce an error and the background
-	// context cannot cancel, so the error is structurally nil.
-	_ = EnumerateContext(context.Background(), h, func(s bitset.Set) (bool, error) {
-		return yield(s), nil
-	})
-}
-
-// EnumerateContext is Enumerate for streaming consumers: the yield may abort
-// the enumeration with an error (returned verbatim), and a cancelled ctx
-// aborts the DFS within one search-node boundary and returns ctx's error. A
-// nil return means the enumeration ran to completion or yield asked to stop
-// cleanly — the distinction streaming endpoints need to tell a truncated
-// stream from a failed one.
 func EnumerateContext(ctx context.Context, h *hypergraph.Hypergraph, yield func(bitset.Set) (bool, error)) error {
 	return enumerateContext(ctx, h, yield, false)
 }
 
 // enumerateContext is the shared enumerator driver. With borrow set, yield
 // receives the enumerator's working set itself (valid only for the duration
-// of the call) instead of a fresh clone — the mode Count uses, so that
+// of the call) instead of a fresh clone — the mode CountContext uses, so that
 // consumers that never retain a transversal never pay for one.
 func enumerateContext(ctx context.Context, h *hypergraph.Hypergraph, yield func(bitset.Set) (bool, error), borrow bool) error {
 	n := h.N()
@@ -157,9 +148,11 @@ func enumerateContext(ctx context.Context, h *hypergraph.Hypergraph, yield func(
 // All collects every minimal transversal of h.
 func All(h *hypergraph.Hypergraph) []bitset.Set {
 	var out []bitset.Set
-	Enumerate(h, func(s bitset.Set) bool {
+	// The yield cannot fail and the background context cannot cancel, so
+	// the error is structurally nil.
+	_ = EnumerateContext(context.Background(), h, func(s bitset.Set) (bool, error) {
 		out = append(out, s)
-		return true
+		return true, nil
 	})
 	return out
 }
@@ -169,17 +162,11 @@ func AsHypergraph(h *hypergraph.Hypergraph) *hypergraph.Hypergraph {
 	return hypergraph.FromSets(h.N(), All(h)).Canonical()
 }
 
-// Count returns |tr(h)| by streaming over the enumerator in borrow mode: no
-// minimal transversal is materialized (or even cloned) on the way to the
-// integer, so counting costs only the DFS's own working state however large
-// tr(h) grows.
-func Count(h *hypergraph.Hypergraph) int {
-	c, _ := CountContext(context.Background(), h)
-	return c
-}
-
-// CountContext is Count with cancellation; on a cancelled ctx the partial
-// count so far is returned alongside ctx's error.
+// CountContext returns |tr(h)| by streaming over the enumerator in borrow
+// mode: no minimal transversal is materialized (or even cloned) on the way
+// to the integer, so counting costs only the DFS's own working state however
+// large tr(h) grows. On a cancelled ctx the partial count so far is
+// returned alongside ctx's error.
 func CountContext(ctx context.Context, h *hypergraph.Hypergraph) (int, error) {
 	c := 0
 	err := enumerateContext(ctx, h, func(bitset.Set) (bool, error) {

@@ -1,6 +1,7 @@
 package transversal
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -119,7 +120,7 @@ func TestEnumerateNoDuplicates(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		h := randomSimple(r, 2+r.Intn(10), 1+r.Intn(10))
 		seen := map[string]bool{}
-		Enumerate(h, func(s bitset.Set) bool {
+		err := EnumerateContext(context.Background(), h, func(s bitset.Set) (bool, error) {
 			k := s.Key()
 			if seen[k] {
 				t.Fatalf("duplicate transversal %v for %v", s, h)
@@ -128,22 +129,27 @@ func TestEnumerateNoDuplicates(t *testing.T) {
 			if !h.IsMinimalTransversal(s) {
 				t.Fatalf("emitted non-minimal %v for %v", s, h)
 			}
-			return true
+			return true, nil
 		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestEnumerateEarlyStop(t *testing.T) {
 	h := hypergraph.MustFromEdges(6, [][]int{{0, 1}, {2, 3}, {4, 5}})
 	count := 0
-	Enumerate(h, func(bitset.Set) bool {
+	if err := EnumerateContext(context.Background(), h, func(bitset.Set) (bool, error) {
 		count++
-		return count < 3
-	})
+		return count < 3, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if count != 3 {
 		t.Errorf("early stop yielded %d, want 3", count)
 	}
-	if got := Count(h); got != 8 {
+	if got := countTr(h); got != 8 {
 		t.Errorf("Count = %d, want 8", got)
 	}
 }
@@ -156,7 +162,7 @@ func TestMatchingGrowth(t *testing.T) {
 			edges[i] = []int{2 * i, 2*i + 1}
 		}
 		h := hypergraph.MustFromEdges(2*k, edges)
-		if got, want := Count(h), 1<<uint(k); got != want {
+		if got, want := countTr(h), 1<<uint(k); got != want {
 			t.Errorf("matching k=%d: Count = %d, want %d", k, got, want)
 		}
 	}
@@ -215,7 +221,7 @@ func BenchmarkEnumerateThreshold(b *testing.B) {
 	h := threshold(12, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Count(h)
+		countTr(h)
 	}
 }
 

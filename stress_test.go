@@ -4,6 +4,7 @@ package dualspace
 // laptop scale. Skipped under -short.
 
 import (
+	"context"
 	"testing"
 
 	"dualspace/internal/core"
@@ -46,7 +47,7 @@ func TestStressThreshold10(t *testing.T) {
 	if err != nil || !res.Dual {
 		t.Fatalf("threshold-10-4: %v %v", res, err)
 	}
-	par, err := core.DecideParallel(g, h, 0)
+	par, err := ExplainWith(context.Background(), g, h, Options{Engine: NewParallelEngine(0)})
 	if err != nil || !par.Dual {
 		t.Fatalf("parallel threshold-10-4: %v %v", par, err)
 	}
@@ -72,8 +73,9 @@ func TestStressEnumeration(t *testing.T) {
 	}
 	// tr of threshold(14, 3): C(14,12) = 91 transversals out of 364 edges.
 	h := gen.Threshold(14, 3)
-	if got, want := transversal.Count(h), binom(14, 12); got != want {
-		t.Fatalf("count = %d, want %d", got, want)
+	got, err := transversal.CountContext(context.Background(), h)
+	if want := binom(14, 12); err != nil || got != want {
+		t.Fatalf("count = %d, %v; want %d", got, err, want)
 	}
 }
 
@@ -92,7 +94,7 @@ func TestStressMiningWide(t *testing.T) {
 	r := rand.New(rand.NewSource(2013))
 	d := itemsets.GeneratePlanted(r, 14, 300,
 		[][]int{{0, 1, 2, 3}, {4, 5, 6}, {7, 8}, {9, 10, 11, 12, 13}}, 0.1, 0.03)
-	b, err := itemsets.ComputeBorders(d, 30)
+	b, err := ComputeBorders(d, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
