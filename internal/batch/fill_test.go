@@ -26,14 +26,14 @@ func TestSchedulerFillHook(t *testing.T) {
 	s := NewScheduler(Config{
 		Pool:  pool,
 		Cache: cache,
-		Fill: func(ctx context.Context, key Key, n int, rawG, rawH string) (*core.Result, bool) {
+		Fill: func(ctx context.Context, key Key, rawG, rawH string) (*core.Verdict, bool) {
 			mu.Lock()
 			fills++
 			mu.Unlock()
 			if rawG == "" || rawH == "" {
 				t.Errorf("fill for %v received empty raw texts", key)
 			}
-			return &core.Result{Dual: true, GEdge: -1, HEdge: -1, RedundantVertex: -1}, true
+			return &core.Verdict{N: 4, Dual: true, GEdge: -1, HEdge: -1, RedundantVertex: -1}, true
 		},
 		OnStore: func(key Key, res *core.Result, n int) {
 			mu.Lock()
@@ -100,7 +100,7 @@ func TestSchedulerFillDeclined(t *testing.T) {
 	s := NewScheduler(Config{
 		Pool:  pool,
 		Cache: NewCache(64, 0),
-		Fill: func(ctx context.Context, key Key, n int, rawG, rawH string) (*core.Result, bool) {
+		Fill: func(ctx context.Context, key Key, rawG, rawH string) (*core.Verdict, bool) {
 			return nil, false
 		},
 		OnStore: func(key Key, res *core.Result, n int) {

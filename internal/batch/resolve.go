@@ -79,7 +79,7 @@ type Outcome struct {
 // cache-hit path takes no lock beyond the cache shard's and allocates
 // nothing.
 func (s *Scheduler) Resolve(ctx context.Context, q Query) (Outcome, error) {
-	out, hit := s.lookup(ctx, q.Key)
+	out, hit := s.lookup(ctx, &q)
 	if hit {
 		return out, nil
 	}
@@ -90,12 +90,18 @@ func (s *Scheduler) Resolve(ctx context.Context, q Query) (Outcome, error) {
 }
 
 // lookup is the cache stage. An injected cache fault degrades to a miss: a
-// broken cache costs computation, never correctness or availability.
-func (s *Scheduler) lookup(ctx context.Context, key Key) (out Outcome, hit bool) {
+// broken cache costs computation, never correctness or availability. So
+// does a cached verdict that does not fit q's instance (say, a corrupt log
+// record replayed into the cache); the recompute replaces the entry.
+func (s *Scheduler) lookup(ctx context.Context, q *Query) (out Outcome, hit bool) {
 	t0 := time.Now()
 	out.Source = SourceCache
 	if s.cfg.Cache != nil && faultinject.Fire(ctx, faultinject.PointCacheLookup) == nil {
-		out.Res, hit = s.cfg.Cache.Get(key)
+		out.Res, hit = s.cfg.Cache.Get(q.Key)
+	}
+	if hit && core.CheckVerdict(q.G, q.H, out.Res) != nil {
+		s.badHits.Add(1)
+		out.Res, hit = nil, false
 	}
 	out.Lookup = time.Since(t0)
 	return out, hit
@@ -150,9 +156,16 @@ func (s *Scheduler) lead(ctx context.Context, q *Query, f *flight) (out Outcome,
 	}
 	n := q.G.N()
 	if s.cfg.Fill != nil && q.RawG != "" && q.RawH != "" {
-		if res, ok := s.cfg.Fill(ctx, q.Key, n, q.RawG, q.RawH); ok {
-			s.store(q.Key, res, n)
-			return Outcome{Res: res, Source: SourcePeer}, nil
+		if v, ok := s.cfg.Fill(ctx, q.Key, q.RawG, q.RawH); ok {
+			// A peer's verdict must decode, name q's universe and fit
+			// q's instance; one that fails any of these is counted and
+			// computed locally.
+			if res, err := v.Result(); err == nil && v.N == n && core.CheckVerdict(q.G, q.H, res) == nil {
+				s.fills.Add(1)
+				s.store(q.Key, res, n)
+				return Outcome{Res: res, Source: SourcePeer}, nil
+			}
+			s.badFills.Add(1)
 		}
 	}
 	sess, err := s.cfg.Acquire(ctx)

@@ -102,12 +102,13 @@ type Config struct {
 	// counter. Must not itself panic.
 	OnPanic func(v any, stack []byte)
 	// Fill, when non-nil, is the peer-fill stage, consulted for a missed
-	// query with raw texts before admission: given the key, its vertex
-	// universe, and the raw request texts, it may return a detached verdict
-	// obtained elsewhere (the service bridges it to the cluster peer
-	// client). A false return means "compute locally"; Fill must never
+	// query with raw texts before admission: given the key and the raw
+	// request texts, it may return a flattened verdict obtained elsewhere
+	// (the service bridges it to the cluster peer client), which the
+	// pipeline decodes and checks against the query's instance before
+	// using it. A false return means "compute locally"; Fill must never
 	// block long — it runs on the request's time budget.
-	Fill func(ctx context.Context, key Key, n int, rawG, rawH string) (*core.Result, bool)
+	Fill func(ctx context.Context, key Key, rawG, rawH string) (*core.Verdict, bool)
 	// OnStore, when non-nil, observes every verdict the pipeline adds to the
 	// cache (computed or peer-filled, never cache hits), with the vertex
 	// universe its witness indices refer to. The service bridges it to the
@@ -127,9 +128,15 @@ type Stats struct {
 	Decisions int64 `json:"decisions"`
 	Errors    int64 `json:"errors"`
 	Panics    int64 `json:"panics"`
-	// PeerFills counts entries answered by Config.Fill (a peer replica's
-	// cache) instead of a local engine run.
-	PeerFills int64 `json:"peer_fills"`
+	// PeerFills counts the peer verdicts (Config.Fill) that passed the
+	// check, on every path; InvalidFills those that failed to decode, to
+	// name their instance's universe or to fit it (core.CheckVerdict) and
+	// were computed locally — the service shows it as the cluster block's
+	// invalid_verdicts, not in this block; InvalidHits the cache hits that
+	// did not fit and were answered as misses.
+	PeerFills    int64 `json:"peer_fills"`
+	InvalidFills int64 `json:"-"`
+	InvalidHits  int64 `json:"invalid_hits"`
 }
 
 // RunStats summarizes one Run: Items = requests consumed, Unique = distinct
@@ -161,6 +168,8 @@ type Scheduler struct {
 	errors    atomic.Int64
 	panics    atomic.Int64
 	fills     atomic.Int64
+	badFills  atomic.Int64
+	badHits   atomic.Int64
 }
 
 // NewScheduler returns a Scheduler over cfg; cfg.Pool must be non-nil.
@@ -177,16 +186,18 @@ func NewScheduler(cfg Config) *Scheduler {
 // Stats snapshots the lifetime counters.
 func (s *Scheduler) Stats() Stats {
 	return Stats{
-		Batches:   s.batches.Load(),
-		Active:    s.active.Load(),
-		Items:     s.items.Load(),
-		Unique:    s.unique.Load(),
-		Deduped:   s.deduped.Load(),
-		CacheHits: s.cacheHits.Load(),
-		Decisions: s.decisions.Load(),
-		Errors:    s.errors.Load(),
-		Panics:    s.panics.Load(),
-		PeerFills: s.fills.Load(),
+		Batches:      s.batches.Load(),
+		Active:       s.active.Load(),
+		Items:        s.items.Load(),
+		Unique:       s.unique.Load(),
+		Deduped:      s.deduped.Load(),
+		CacheHits:    s.cacheHits.Load(),
+		Decisions:    s.decisions.Load(),
+		Errors:       s.errors.Load(),
+		Panics:       s.panics.Load(),
+		PeerFills:    s.fills.Load(),
+		InvalidFills: s.badFills.Load(),
+		InvalidHits:  s.badHits.Load(),
 	}
 }
 
@@ -317,7 +328,7 @@ func (s *Scheduler) RunN(ctx context.Context, parallelism int, reqs <-chan Reque
 		entries[q.Key] = e
 		rs.Unique++
 		mu.Unlock()
-		out, hit := s.lookup(ctx, q.Key)
+		out, hit := s.lookup(ctx, &e.q)
 		if hit {
 			finish(e, out, nil)
 			continue
@@ -339,6 +350,5 @@ func (s *Scheduler) RunN(ctx context.Context, parallelism int, reqs <-chan Reque
 	s.cacheHits.Add(int64(rs.CacheHits))
 	s.decisions.Add(int64(rs.Decisions))
 	s.errors.Add(int64(rs.Errors))
-	s.fills.Add(int64(rs.PeerFills))
 	return rs
 }

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dualspace/internal/core"
 )
 
 func TestNewDisabledWithoutPeers(t *testing.T) {
@@ -43,7 +45,8 @@ func TestClientFillRoundTrip(t *testing.T) {
 			t.Errorf("fill request carries empty texts: %+v", req)
 		}
 		_ = json.NewEncoder(w).Encode(WireVerdict{
-			N: 3, Dual: true, GEdge: -1, HEdge: -1, RedundantVertex: -1, Cached: true,
+			Verdict: core.Verdict{N: 3, Dual: true, GEdge: -1, HEdge: -1, RedundantVertex: -1},
+			Cached:  true,
 		})
 	}))
 	defer peer.Close()
@@ -134,7 +137,7 @@ func TestClientFillFanoutSkipDoesNotStrandProbe(t *testing.T) {
 			return
 		}
 		_ = json.NewEncoder(w).Encode(WireVerdict{
-			N: 1, Dual: true, GEdge: -1, HEdge: -1, RedundantVertex: -1,
+			Verdict: core.Verdict{N: 1, Dual: true, GEdge: -1, HEdge: -1, RedundantVertex: -1},
 		})
 	}))
 	defer peer.Close()

@@ -1,11 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-
-	"dualspace/internal/bitset"
-	"dualspace/internal/core"
-)
+import "dualspace/internal/core"
 
 // PeerHeader marks a request as a peer cache-fill rather than client
 // traffic: the client sets it to its own advertised address, the serving
@@ -28,103 +23,13 @@ type FillRequest struct {
 	H      string `json:"h"`
 }
 
-// WireVerdict is the cluster fill response: a core.Result flattened to
-// JSON-safe types plus the vertex-universe size the witness indices refer
-// to. Stats are deliberately dropped — they describe one replica's search,
-// not the instance.
+// WireVerdict is the cluster fill response: the flattened verdict, whose
+// witness indices refer to the vertex universe N of the shared-symbol-table
+// parse, plus the engine that answered and whether it came from the
+// serving replica's cache. The receiver decodes it with Verdict.Result and
+// checks it against its own parse before serving it.
 type WireVerdict struct {
-	N               int    `json:"n"`
-	Dual            bool   `json:"dual"`
-	Reason          int    `json:"reason"`
-	Witness         []int  `json:"witness,omitempty"`
-	CoWitness       []int  `json:"co_witness,omitempty"`
-	GEdge           int    `json:"g_edge"`
-	HEdge           int    `json:"h_edge"`
-	RedundantVertex int    `json:"redundant_vertex"`
-	FailPath        []int  `json:"fail_path,omitempty"`
-	Swapped         bool   `json:"swapped"`
-	Engine          string `json:"engine,omitempty"`
-	Cached          bool   `json:"cached"`
-}
-
-// FromResult flattens res for the wire. n is the vertex universe of the
-// (shared-symbol-table) parse of the instance.
-func FromResult(res *core.Result, n int) *WireVerdict {
-	wv := &WireVerdict{
-		N:               n,
-		Dual:            res.Dual,
-		Reason:          int(res.Reason),
-		GEdge:           res.GEdge,
-		HEdge:           res.HEdge,
-		RedundantVertex: res.RedundantVertex,
-		Swapped:         res.Swapped,
-	}
-	if !res.Witness.IsEmpty() {
-		wv.Witness = res.Witness.Elems()
-	}
-	if !res.CoWitness.IsEmpty() {
-		wv.CoWitness = res.CoWitness.Elems()
-	}
-	if len(res.FailPath) > 0 {
-		wv.FailPath = append([]int(nil), res.FailPath...)
-	}
-	return wv
-}
-
-// maxWireN bounds the universe a peer may claim, protecting the bitset
-// reconstruction from allocating absurd amounts on a corrupt response.
-const maxWireN = 1 << 24
-
-// ToResult validates the verdict against the locally parsed universe size
-// n and reconstructs a detached core.Result. A mismatched universe or an
-// out-of-range index means the peer decided a *different* instance (or the
-// bytes were corrupted) — the caller must treat that as a miss, never as a
-// verdict.
-func (wv *WireVerdict) ToResult(n int) (*core.Result, error) {
-	if wv.N != n {
-		return nil, fmt.Errorf("cluster: peer universe %d != local %d", wv.N, n)
-	}
-	if n < 0 || n > maxWireN {
-		return nil, fmt.Errorf("cluster: universe %d out of range", n)
-	}
-	if wv.Reason < int(core.ReasonDual) || wv.Reason > int(core.ReasonNewTransversal) {
-		return nil, fmt.Errorf("cluster: unknown reason %d", wv.Reason)
-	}
-	if wv.GEdge < -1 || wv.HEdge < -1 || wv.RedundantVertex < -1 {
-		return nil, fmt.Errorf("cluster: negative index below -1 sentinel")
-	}
-	// RedundantVertex is rendered as a symbol-table lookup downstream, so an
-	// out-of-range value would not just be wrong, it would panic — and a
-	// poisoned cache entry panics every later request for the key.
-	if wv.RedundantVertex >= n {
-		return nil, fmt.Errorf("cluster: redundant vertex %d outside [0,%d)", wv.RedundantVertex, n)
-	}
-	for _, e := range wv.Witness {
-		if e < 0 || e >= n {
-			return nil, fmt.Errorf("cluster: witness vertex %d outside [0,%d)", e, n)
-		}
-	}
-	for _, e := range wv.CoWitness {
-		if e < 0 || e >= n {
-			return nil, fmt.Errorf("cluster: co-witness vertex %d outside [0,%d)", e, n)
-		}
-	}
-	res := &core.Result{
-		Dual:            wv.Dual,
-		Reason:          core.Reason(wv.Reason),
-		GEdge:           wv.GEdge,
-		HEdge:           wv.HEdge,
-		RedundantVertex: wv.RedundantVertex,
-		Swapped:         wv.Swapped,
-	}
-	if len(wv.Witness) > 0 {
-		res.Witness = bitset.FromSlice(n, wv.Witness)
-	}
-	if len(wv.CoWitness) > 0 {
-		res.CoWitness = bitset.FromSlice(n, wv.CoWitness)
-	}
-	if len(wv.FailPath) > 0 {
-		res.FailPath = append([]int(nil), wv.FailPath...)
-	}
-	return res, nil
+	core.Verdict
+	Engine string `json:"engine,omitempty"`
+	Cached bool   `json:"cached"`
 }

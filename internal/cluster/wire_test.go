@@ -1,11 +1,31 @@
 package cluster
 
 import (
+	"encoding/json"
 	"testing"
 
 	"dualspace/internal/bitset"
 	"dualspace/internal/core"
 )
+
+// roundTrip sends res over the wire: flattened, marshalled, unmarshalled
+// and decoded the way a receiving replica does.
+func roundTrip(t *testing.T, res *core.Result, n int) (*WireVerdict, *core.Result) {
+	t.Helper()
+	raw, err := json.Marshal(WireVerdict{Verdict: core.Flatten(res, n), Engine: "core"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wv WireVerdict
+	if err := json.Unmarshal(raw, &wv); err != nil {
+		t.Fatal(err)
+	}
+	back, err := wv.Result()
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return &wv, back
+}
 
 func TestWireVerdictRoundTrip(t *testing.T) {
 	res := &core.Result{
@@ -19,10 +39,9 @@ func TestWireVerdictRoundTrip(t *testing.T) {
 		FailPath:        []int{2, 1},
 		Swapped:         true,
 	}
-	wv := FromResult(res, 6)
-	back, err := wv.ToResult(6)
-	if err != nil {
-		t.Fatalf("ToResult: %v", err)
+	wv, back := roundTrip(t, res, 6)
+	if wv.N != 6 || wv.Engine != "core" {
+		t.Fatalf("wire fields drifted: %+v", wv)
 	}
 	if back.Dual != res.Dual || back.Reason != res.Reason || back.Swapped != res.Swapped {
 		t.Fatalf("verdict fields drifted: %+v vs %+v", back, res)
@@ -37,10 +56,7 @@ func TestWireVerdictRoundTrip(t *testing.T) {
 
 func TestWireVerdictDualRoundTrip(t *testing.T) {
 	res := &core.Result{Dual: true, GEdge: -1, HEdge: -1, RedundantVertex: -1}
-	back, err := FromResult(res, 4).ToResult(4)
-	if err != nil {
-		t.Fatalf("ToResult: %v", err)
-	}
+	_, back := roundTrip(t, res, 4)
 	if !back.Dual || back.Reason != core.ReasonDual {
 		t.Fatalf("dual verdict drifted: %+v", back)
 	}
@@ -49,31 +65,28 @@ func TestWireVerdictDualRoundTrip(t *testing.T) {
 	}
 }
 
+// TestWireVerdictValidation: what decoding alone rejects — a universe past
+// core.MaxUniverse and witness lists that are not increasing within it.
+// Whether a decoded verdict fits its instance is core.CheckVerdict's test.
 func TestWireVerdictValidation(t *testing.T) {
-	good := &WireVerdict{N: 4, Reason: 0, GEdge: -1, HEdge: -1, RedundantVertex: -1}
-	if _, err := good.ToResult(4); err != nil {
-		t.Fatalf("valid verdict rejected: %v", err)
-	}
 	cases := []struct {
 		name string
-		wv   WireVerdict
-		n    int
+		body string
 	}{
-		{"universe mismatch", WireVerdict{N: 5, GEdge: -1, HEdge: -1, RedundantVertex: -1}, 4},
-		{"reason too large", WireVerdict{N: 4, Reason: 99, GEdge: -1, HEdge: -1, RedundantVertex: -1}, 4},
-		{"reason negative", WireVerdict{N: 4, Reason: -1, GEdge: -1, HEdge: -1, RedundantVertex: -1}, 4},
-		{"witness out of range", WireVerdict{N: 4, Witness: []int{4}, GEdge: -1, HEdge: -1, RedundantVertex: -1}, 4},
-		{"witness negative", WireVerdict{N: 4, Witness: []int{-1}, GEdge: -1, HEdge: -1, RedundantVertex: -1}, 4},
-		{"co-witness out of range", WireVerdict{N: 4, CoWitness: []int{9}, GEdge: -1, HEdge: -1, RedundantVertex: -1}, 4},
-		{"bad sentinel", WireVerdict{N: 4, GEdge: -7, HEdge: -1, RedundantVertex: -1}, 4},
-		// RedundantVertex feeds a symbol-table lookup on render: accepting
-		// an out-of-range value would cache a panic, not just a wrong answer.
-		{"redundant vertex out of range", WireVerdict{N: 4, GEdge: -1, HEdge: -1, RedundantVertex: 4}, 4},
-		{"redundant vertex huge", WireVerdict{N: 4, GEdge: -1, HEdge: -1, RedundantVertex: 1 << 20}, 4},
+		{"universe negative", `{"n":-1,"dual":true,"g_edge":-1,"h_edge":-1,"redundant_vertex":-1}`},
+		{"universe too large", `{"n":16777217,"dual":true,"g_edge":-1,"h_edge":-1,"redundant_vertex":-1}`},
+		{"witness out of range", `{"n":4,"reason":5,"witness":[4],"g_edge":-1,"h_edge":-1,"redundant_vertex":-1}`},
+		{"witness negative", `{"n":4,"reason":5,"witness":[-1],"g_edge":-1,"h_edge":-1,"redundant_vertex":-1}`},
+		{"witness unsorted", `{"n":4,"reason":5,"witness":[2,1],"g_edge":-1,"h_edge":-1,"redundant_vertex":-1}`},
+		{"co-witness out of range", `{"n":4,"reason":5,"witness":[0],"co_witness":[9],"g_edge":-1,"h_edge":-1,"redundant_vertex":-1}`},
 	}
 	for _, tc := range cases {
-		if _, err := tc.wv.ToResult(tc.n); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		var wv WireVerdict
+		if err := json.Unmarshal([]byte(tc.body), &wv); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if _, err := wv.Result(); err == nil {
+			t.Errorf("%s: decoded", tc.name)
 		}
 	}
 }

@@ -157,3 +157,62 @@ func TestConformancePreconditionReasons(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckVerdictAcceptsEngineVerdicts: core.CheckVerdict, which the
+// serving pipeline runs on every cache hit and peer fill, rejects no verdict
+// an engine computes — stateless or on a session, on both orientations of
+// seeded random dual and dropped-edge pairs, so fail paths of swapped
+// decisions from the three tree-walking engines are among them.
+func TestCheckVerdictAcceptsEngineVerdicts(t *testing.T) {
+	ctx := context.Background()
+	r := rand.New(rand.NewSource(20261021))
+	var pairs [][2]*hypergraph.Hypergraph
+	for _, p := range gen.Families(5) {
+		pairs = append(pairs, [2]*hypergraph.Hypergraph{p.G, p.H}, [2]*hypergraph.Hypergraph{p.H, p.G})
+	}
+	for i := 0; i < 60; i++ {
+		g := gen.Random(r, 6+r.Intn(8), 4+r.Intn(10), 0.2+0.3*r.Float64())
+		if g.M() == 0 || g.HasEmptyEdge() {
+			continue
+		}
+		h := transversal.AsHypergraph(g)
+		pairs = append(pairs, [2]*hypergraph.Hypergraph{g, h}, [2]*hypergraph.Hypergraph{h, g})
+		if h.M() >= 2 {
+			d := gen.DropEdge(h, r.Intn(h.M()))
+			pairs = append(pairs, [2]*hypergraph.Hypergraph{g, d}, [2]*hypergraph.Hypergraph{d, g})
+		}
+	}
+	paths := map[string]int{}
+	deepest := 0
+	for _, e := range allEngines(t) {
+		sess := engine.NewSession(e)
+		for i, p := range pairs {
+			g, h := p[0], p[1]
+			for _, stateful := range []bool{false, true} {
+				decide := e.Decide
+				if stateful {
+					decide = sess.Decide
+				}
+				res, err := decide(ctx, g, h)
+				if err != nil {
+					t.Fatalf("pair %d: %s: %v", i, e.Name(), err)
+				}
+				if err := core.CheckVerdict(g, h, res); err != nil {
+					t.Errorf("pair %d: %s (session %v): %v", i, e.Name(), stateful, err)
+				}
+				if len(res.FailPath) > 0 && res.Swapped {
+					paths[e.Name()]++
+				}
+				deepest = max(deepest, len(res.FailPath))
+			}
+		}
+	}
+	for _, name := range []string{"core", "core-parallel", "logspace"} {
+		if paths[name] == 0 {
+			t.Errorf("%s produced no fail path on a swapped pair", name)
+		}
+	}
+	if deepest < 2 {
+		t.Errorf("deepest fail path has %d entries; the set exercises no depth bound", deepest)
+	}
+}

@@ -38,23 +38,11 @@ import (
 	"dualspace/internal/logspace"
 )
 
-// Caps describes what an engine can do beyond the bare verdict, so callers
-// can dispatch on ability instead of name.
-type Caps struct {
-	// Parallel: the engine searches with multiple goroutines.
-	Parallel bool
-	// FailPath: non-dual verdicts carry a decomposition-tree fail-path
-	// descriptor (the O(log²n)-bit certificate of Theorem 5.1).
-	FailPath bool
-}
-
 // Engine is a duality decision procedure. Implementations are stateless and
 // safe for concurrent use; per-holder reusable state lives in Session.
 type Engine interface {
 	// Name returns the engine's registry name (see Names).
 	Name() string
-	// Caps reports the engine's capabilities.
-	Caps() Caps
 	// Decide reports whether h = tr(g), under core.Decider.DecideContext's
 	// input and cancellation contract.
 	Decide(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error)
@@ -69,12 +57,10 @@ type runFunc func(d *core.Decider, ctx context.Context, g, h *hypergraph.Hypergr
 // are held by pointer, so engines compare with == like any pointer.
 type builtin struct {
 	name string
-	caps Caps
 	run  runFunc
 }
 
 func (e *builtin) Name() string { return e.name }
-func (e *builtin) Caps() Caps   { return e.caps }
 
 // Decide runs the engine on a fresh Decider and detaches the verdict from
 // it, so the result aliases nothing.
@@ -83,7 +69,7 @@ func (e *builtin) Decide(ctx context.Context, g, h *hypergraph.Hypergraph) (*cor
 }
 
 // coreSerial is the paper's serial decomposition on the pinned walker.
-var coreSerial = &builtin{name: "core", caps: Caps{FailPath: true}, run: (*core.Decider).DecideContext}
+var coreSerial = &builtin{name: "core", run: (*core.Decider).DecideContext}
 
 // NewCoreParallel returns the parallel decomposition engine with the given
 // goroutine bound (0 = GOMAXPROCS).
@@ -91,7 +77,7 @@ func NewCoreParallel(workers int) Engine { return coreParallel(workers) }
 
 // coreParallel is the work-stealing tree search on the Decider's indexes.
 func coreParallel(workers int) *builtin {
-	return &builtin{name: "core-parallel", caps: Caps{Parallel: true, FailPath: true},
+	return &builtin{name: "core-parallel",
 		run: func(d *core.Decider, ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
 			return d.DecideParallel(ctx, g, h, workers)
 		}}
@@ -139,7 +125,7 @@ func fkRun(decide func(ctx context.Context, g, h *hypergraph.Hypergraph) (*fkdua
 
 // logspaceReplay is the path-descriptor walker in its fast (replay) regime,
 // plugged into the Decider as its tree stage.
-var logspaceReplay = &builtin{name: "logspace", caps: Caps{FailPath: true},
+var logspaceReplay = &builtin{name: "logspace",
 	run: func(d *core.Decider, ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
 		return d.DecideSearch(ctx, g, h, replaySearch)
 	}}

@@ -38,13 +38,6 @@ func TestRegistry(t *testing.T) {
 	if _, err := engine.ByName("quantum"); err == nil {
 		t.Error("unknown engine name did not error")
 	}
-	caps := mustEngine(t, "core").Caps()
-	if !caps.FailPath || caps.Parallel {
-		t.Errorf("core caps = %+v", caps)
-	}
-	if !mustEngine(t, "core-parallel").Caps().Parallel {
-		t.Error("core-parallel not flagged Parallel")
-	}
 }
 
 // star returns the α-acyclic star {{0,i}} with m rays over m+1 vertices.

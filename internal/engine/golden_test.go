@@ -100,9 +100,9 @@ func loose(res *core.Result) string {
 func scheduled(eng engine.Engine, g, h *hypergraph.Hypergraph) bool {
 	if eng.Name() == "portfolio" {
 		sel, _ := engine.NewPortfolio(engine.PortfolioConfig{Workers: 4}).Select(g, h)
-		return sel.Caps().Parallel
+		eng = sel
 	}
-	return eng.Caps().Parallel
+	return eng.Name() == "core-parallel"
 }
 
 func TestConformanceGolden(t *testing.T) {
@@ -131,6 +131,7 @@ func TestConformanceGolden(t *testing.T) {
 				t.Fatalf("%s/%s: Decide: %v", p.name, name, err)
 			}
 			checkWitness(t, p, name, res)
+			checkVerdict(t, p, name, res)
 			lines = append(lines, fmt.Sprintf("%s %s stateless %s", p.name, name, rec(res)))
 			s := engine.NewSessionMemo(eng, -1)
 			for i := 1; i <= 2; i++ {
@@ -139,6 +140,7 @@ func TestConformanceGolden(t *testing.T) {
 					t.Fatalf("%s/%s: session call %d: %v", p.name, name, i, err)
 				}
 				checkWitness(t, p, name, res)
+				checkVerdict(t, p, name, res)
 				lines = append(lines, fmt.Sprintf("%s %s session%d %s", p.name, name, i, rec(res)))
 			}
 		}
@@ -185,5 +187,23 @@ func checkWitness(t *testing.T, p goldenPair, name string, res *core.Result) {
 	}
 	if !p.g.IsNewTransversal(res.Witness, p.h) {
 		t.Errorf("%s/%s: witness %v is not a new transversal of g w.r.t. h", p.name, name, res.Witness)
+	}
+}
+
+// checkVerdict asserts that the serving pipeline's check accepts the
+// verdict, both as computed and after a flatten/decode round trip (the
+// form it takes in the verdict log and on the peer wire).
+func checkVerdict(t *testing.T, p goldenPair, name string, res *core.Result) {
+	t.Helper()
+	if err := core.CheckVerdict(p.g, p.h, res); err != nil {
+		t.Errorf("%s/%s: CheckVerdict rejected a computed verdict: %v", p.name, name, err)
+	}
+	v := core.Flatten(res, p.g.N())
+	back, err := v.Result()
+	if err == nil {
+		err = core.CheckVerdict(p.g, p.h, back)
+	}
+	if err != nil {
+		t.Errorf("%s/%s: flattened verdict rejected: %v", p.name, name, err)
 	}
 }

@@ -86,9 +86,8 @@ type PortfolioConfig struct {
 }
 
 // Portfolio is the feature-dispatching engine. It is stateless and safe for
-// concurrent use; create with NewPortfolio. Its own contract (Caps): it may
-// parallelize, but a fail path is not guaranteed (the FK engines do not
-// produce one).
+// concurrent use; create with NewPortfolio. It may parallelize, but a fail
+// path is not guaranteed (the FK engines do not produce one).
 type Portfolio struct {
 	builtin
 	cfg                   PortfolioConfig
@@ -98,7 +97,7 @@ type Portfolio struct {
 // NewPortfolio returns a portfolio over the core and FK-B engines.
 func NewPortfolio(cfg PortfolioConfig) *Portfolio {
 	p := &Portfolio{cfg: cfg, serial: coreSerial, parallel: coreParallel(cfg.Workers), fkb: fkB}
-	p.builtin = builtin{name: "portfolio", caps: Caps{Parallel: true}, run: p.decide}
+	p.builtin = builtin{name: "portfolio", run: p.decide}
 	return p
 }
 

@@ -108,9 +108,6 @@ func (s *Session) Engine() Engine { return s.eng }
 // Name reports the wrapped engine's name.
 func (s *Session) Name() string { return s.eng.Name() }
 
-// Caps reports the wrapped engine's capabilities.
-func (s *Session) Caps() Caps { return s.eng.Caps() }
-
 // Decide decides with the session's engine on the pinned scratch.
 //
 //dual:allocfree

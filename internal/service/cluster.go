@@ -54,16 +54,17 @@ func (s *Server) handleClusterVerdict(w http.ResponseWriter, r *http.Request) {
 	if !s.settle(w, r, ctx, q.Key.Engine, out, err) {
 		return
 	}
-	wv := cluster.FromResult(out.Res, q.G.N())
-	wv.Engine, wv.Cached = q.Key.Engine, out.Source == batch.SourceCache
-	writeJSON(w, wv)
+	writeJSON(w, cluster.WireVerdict{
+		Verdict: core.Flatten(out.Res, q.G.N()),
+		Engine:  q.Key.Engine, Cached: out.Source == batch.SourceCache,
+	})
 }
 
 // peerFill is batch.Config.Fill: it asks key's ring owner for the verdict
 // when another replica owns it. False means "compute locally" for any
 // reason (not owner, breaker open, fan-out bound, peer miss, transport
-// failure, invalid verdict).
-func (s *Server) peerFill(ctx context.Context, key batch.Key, n int, gText, hText string) (*core.Result, bool) {
+// failure); the pipeline decodes and checks a verdict it does return.
+func (s *Server) peerFill(ctx context.Context, key batch.Key, gText, hText string) (*core.Verdict, bool) {
 	c := s.cfg.Cluster
 	owner, remote := c.Owner(key.Hash64())
 	if !remote {
@@ -73,15 +74,7 @@ func (s *Server) peerFill(ctx context.Context, key batch.Key, n int, gText, hTex
 	if err != nil || wv == nil {
 		return nil, false
 	}
-	res, err := wv.ToResult(n)
-	if err != nil {
-		// The peer answered for a different instance (or corrupt bytes):
-		// never serve it. The counter is the alarm — this should be zero.
-		s.peerInvalid.Add(1)
-		return nil, false
-	}
-	s.peerFilled.Add(1)
-	return res, true
+	return &wv.Verdict, true
 }
 
 // appendVerdict hands a stored verdict to the async log writer. The send

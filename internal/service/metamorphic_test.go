@@ -153,9 +153,9 @@ func TestServingPathsAgree(t *testing.T) {
 			if !post(base+"/v1/cluster/verdict", stream[i], &wv) {
 				return servedVerdict{}
 			}
-			res, err := wv.ToResult(syms[i].Len())
-			if err != nil {
-				t.Errorf("item %d: %v", i, err)
+			res, err := wv.Result()
+			if err != nil || wv.N != syms[i].Len() {
+				t.Errorf("item %d: universe %d of %d, %v", i, wv.N, syms[i].Len(), err)
 				return servedVerdict{}
 			}
 			return verdictOf(res, syms[i])

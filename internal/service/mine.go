@@ -27,8 +27,7 @@ type sessionEngine struct {
 	eng  engine.Engine
 }
 
-func (e sessionEngine) Name() string      { return e.eng.Name() }
-func (e sessionEngine) Caps() engine.Caps { return e.eng.Caps() }
+func (e sessionEngine) Name() string { return e.eng.Name() }
 func (e sessionEngine) Decide(ctx context.Context, g, h *hypergraph.Hypergraph) (*core.Result, error) {
 	return e.sess.DecideWith(ctx, e.eng, g, h)
 }

@@ -203,6 +203,8 @@ func (s *Server) initObs(logger *slog.Logger) {
 		func() int64 { return s.scheduler.Stats().Errors })
 	batchCounter("panics_total", "Panics contained in the verdict pipeline's compute step, on every path.",
 		func() int64 { return s.scheduler.Stats().Panics })
+	batchCounter("invalid_hits_total", "Cache hits whose verdict did not fit its instance (core.CheckVerdict), recomputed; nonzero is an alarm.",
+		func() int64 { return s.scheduler.Stats().InvalidHits })
 	reg.GaugeFunc("dualspace_batch_active", "Batch streams currently draining.",
 		func() float64 { return float64(s.scheduler.Stats().Active) })
 
@@ -223,10 +225,12 @@ func (s *Server) initObs(logger *slog.Logger) {
 	// are just zero when the features are off, and /statsz reads them
 	// unconditionally); the per-peer and log bridges are created only when
 	// the feature is configured — their label sets depend on it.
-	s.peerFilled = reg.Counter("dualspace_cluster_peer_filled_total",
-		"Requests answered by a peer replica's cached verdict.")
-	s.peerInvalid = reg.Counter("dualspace_cluster_invalid_verdicts_total",
-		"Peer fill responses rejected by validation; nonzero is an alarm.")
+	reg.CounterFunc("dualspace_cluster_peer_filled_total",
+		"Requests answered by a peer replica's cached verdict.",
+		func() float64 { return float64(s.scheduler.Stats().PeerFills) })
+	reg.CounterFunc("dualspace_cluster_invalid_verdicts_total",
+		"Peer fill responses rejected by decoding or core.CheckVerdict; nonzero is an alarm.",
+		func() float64 { return float64(s.scheduler.Stats().InvalidFills) })
 	s.clusterServeHits = reg.Counter("dualspace_cluster_serve_cache_hits_total",
 		"/v1/cluster/verdict fills served from the local cache.")
 	s.clusterServeComputes = reg.Counter("dualspace_cluster_serve_computes_total",

@@ -222,11 +222,10 @@ type Server struct {
 	retryAfter   string
 
 	// Cluster + verdict-log state (cluster.go). The counters are
-	// registry-owned like every other /statsz series; vlogCh feeds the
-	// single async writer goroutine, and logReplayed counts the records
-	// warmed into the cache at New.
-	peerFilled           *obs.Counter
-	peerInvalid          *obs.Counter
+	// registry-owned like every other /statsz series (the peer-fill ones
+	// are the scheduler's); vlogCh feeds the single async writer
+	// goroutine, and logReplayed counts the records warmed into the cache
+	// at New.
 	clusterServeHits     *obs.Counter
 	clusterServeComputes *obs.Counter
 	vlogDropped          *obs.Counter
@@ -548,9 +547,9 @@ type clusterStatsBlock struct {
 	// PeerFilled counts requests on this replica answered by a peer's
 	// verdict (decide and batch paths together).
 	PeerFilled int64 `json:"peer_filled"`
-	// InvalidVerdicts counts peer responses rejected by validation — any
-	// nonzero value means a peer decided a different instance and should be
-	// treated as an alarm.
+	// InvalidVerdicts counts peer verdicts rejected by decoding or by
+	// core.CheckVerdict — any nonzero value means a peer decided a
+	// different instance and should be treated as an alarm.
 	InvalidVerdicts int64 `json:"invalid_verdicts"`
 	// ServeHits / ServeComputes count the serving side of
 	// /v1/cluster/verdict: fills answered from this replica's cache vs.
@@ -673,8 +672,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Cluster = &clusterStatsBlock{
 			Self:            c.Self(),
 			Peers:           c.Stats(),
-			PeerFilled:      s.peerFilled.Load(),
-			InvalidVerdicts: s.peerInvalid.Load(),
+			PeerFilled:      resp.Batch.PeerFills,
+			InvalidVerdicts: resp.Batch.InvalidFills,
 			ServeHits:       s.clusterServeHits.Load(),
 			ServeComputes:   s.clusterServeComputes.Load(),
 		}

@@ -12,6 +12,7 @@ package verdictlog
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -19,7 +20,6 @@ import (
 	"sort"
 	"sync"
 
-	"dualspace/internal/bitset"
 	"dualspace/internal/core"
 	"dualspace/internal/hypergraph"
 )
@@ -450,40 +450,37 @@ func (l *Log) Close() error {
 	return l.active.Close()
 }
 
-// encodeRecord serializes rec into a frame payload.
+// encodeRecord serializes rec into a frame payload: its verdict flattened
+// over rec.N, in the version-1 layout above.
 func encodeRecord(rec *Record) ([]byte, error) {
 	if len(rec.Engine) > 255 {
 		return nil, fmt.Errorf("verdictlog: engine name %q too long", rec.Engine)
 	}
-	if rec.N < 0 || rec.N > maxUniverse {
+	if rec.N < 0 || rec.N > core.MaxUniverse {
 		return nil, fmt.Errorf("verdictlog: universe %d out of range", rec.N)
 	}
-	res := rec.Res
+	v := core.Flatten(rec.Res, rec.N)
 	var flags byte
-	if res.Dual {
+	if v.Dual {
 		flags |= flagDual
 	}
-	if res.Swapped {
+	if v.Swapped {
 		flags |= flagSwapped
 	}
 	buf := make([]byte, 0, 128)
-	buf = append(buf, recordVersion, flags, byte(int(res.Reason)), byte(len(rec.Engine)))
+	buf = append(buf, recordVersion, flags, byte(v.Reason), byte(len(rec.Engine)))
 	buf = append(buf, rec.Engine...)
 	buf = append(buf, rec.FG[:]...)
 	buf = append(buf, rec.FH[:]...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(rec.N))
-	buf = appendInt32(buf, res.GEdge)
-	buf = appendInt32(buf, res.HEdge)
-	buf = appendInt32(buf, res.RedundantVertex)
-	buf = appendElems(buf, res.Witness.Elems())
-	buf = appendElems(buf, res.CoWitness.Elems())
-	buf = appendElems(buf, res.FailPath)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(v.N))
+	buf = appendInt32(buf, v.GEdge)
+	buf = appendInt32(buf, v.HEdge)
+	buf = appendInt32(buf, v.RedundantVertex)
+	buf = appendElems(buf, v.Witness)
+	buf = appendElems(buf, v.CoWitness)
+	buf = appendElems(buf, v.FailPath)
 	return buf, nil
 }
-
-// maxUniverse mirrors cluster's wire bound: a corrupt n must not drive a
-// huge bitset allocation at replay.
-const maxUniverse = 1 << 24
 
 func appendInt32(buf []byte, v int) []byte {
 	return binary.LittleEndian.AppendUint32(buf, uint32(int32(v)))
@@ -497,143 +494,92 @@ func appendElems(buf []byte, elems []int) []byte {
 	return buf
 }
 
-// decodeRecord parses a frame payload. Any structural violation is an
-// error — the caller treats it like a CRC failure and truncates.
+// decodeRecord parses a frame payload and decodes its verdict. Any
+// structural violation is an error — the caller treats it like a CRC
+// failure and truncates. Whether the verdict fits its instance is checked
+// where it is served, not here.
 func decodeRecord(payload []byte) (Record, error) {
 	var rec Record
+	var v core.Verdict
 	d := decoder{buf: payload}
 	version := d.u8()
 	flags := d.u8()
-	reason := int(d.u8())
-	engLen := int(d.u8())
+	v.Reason = int(d.u8())
+	eng := d.bytes(int(d.u8()))
 	if version != recordVersion {
 		return rec, fmt.Errorf("verdictlog: record version %d", version)
 	}
-	eng := d.bytes(engLen)
-	fg := d.bytes(len(rec.FG))
-	fh := d.bytes(len(rec.FH))
-	n := int(d.u32())
-	gEdge := d.i32()
-	hEdge := d.i32()
-	redundant := d.i32()
-	witness := d.elems()
-	coWitness := d.elems()
-	failPath := d.elems()
+	if flags&^(flagDual|flagSwapped) != 0 {
+		return rec, fmt.Errorf("verdictlog: unknown flags %#x", flags)
+	}
+	v.Dual, v.Swapped = flags&flagDual != 0, flags&flagSwapped != 0
+	copy(rec.FG[:], d.bytes(len(rec.FG)))
+	copy(rec.FH[:], d.bytes(len(rec.FH)))
+	v.N = int(d.u32())
+	v.GEdge, v.HEdge, v.RedundantVertex = d.i32(), d.i32(), d.i32()
+	v.Witness, v.CoWitness, v.FailPath = d.elems(), d.elems(), d.elems()
 	if d.err != nil {
 		return rec, d.err
 	}
 	if len(d.buf) != d.off {
 		return rec, fmt.Errorf("verdictlog: %d trailing payload bytes", len(d.buf)-d.off)
 	}
-	if reason < int(core.ReasonDual) || reason > int(core.ReasonNewTransversal) {
-		return rec, fmt.Errorf("verdictlog: unknown reason %d", reason)
+	res, err := v.Result()
+	if err != nil {
+		return rec, fmt.Errorf("verdictlog: %w", err)
 	}
-	if n < 0 || n > maxUniverse {
-		return rec, fmt.Errorf("verdictlog: universe %d out of range", n)
-	}
-	// Like cluster.WireVerdict.ToResult: the redundant vertex is rendered
-	// via a symbol-table lookup, so a replayed record with an out-of-range
-	// index would poison the cache with a panic-on-render entry.
-	if redundant < -1 || redundant >= n {
-		return rec, fmt.Errorf("verdictlog: redundant vertex %d outside [-1,%d)", redundant, n)
-	}
-	for _, e := range witness {
-		if e < 0 || e >= n {
-			return rec, fmt.Errorf("verdictlog: witness vertex %d outside [0,%d)", e, n)
-		}
-	}
-	for _, e := range coWitness {
-		if e < 0 || e >= n {
-			return rec, fmt.Errorf("verdictlog: co-witness vertex %d outside [0,%d)", e, n)
-		}
-	}
-	rec.Engine = string(eng)
-	copy(rec.FG[:], fg)
-	copy(rec.FH[:], fh)
-	rec.N = n
-	res := &core.Result{
-		Dual:            flags&flagDual != 0,
-		Reason:          core.Reason(reason),
-		GEdge:           gEdge,
-		HEdge:           hEdge,
-		RedundantVertex: redundant,
-		Swapped:         flags&flagSwapped != 0,
-	}
-	if len(witness) > 0 {
-		res.Witness = bitset.FromSlice(n, witness)
-	}
-	if len(coWitness) > 0 {
-		res.CoWitness = bitset.FromSlice(n, coWitness)
-	}
-	if len(failPath) > 0 {
-		res.FailPath = failPath
-	}
-	rec.Res = res
+	rec.Engine, rec.N, rec.Res = string(eng), v.N, res
 	return rec, nil
 }
 
-// decoder is a bounds-checked little-endian payload reader.
+// decoder is a bounds-checked little-endian payload reader: a read past
+// the end records errTruncated and yields zero values from then on.
 type decoder struct {
 	buf []byte
 	off int
 	err error
 }
 
-func (d *decoder) u8() byte {
-	if d.err != nil || d.off+1 > len(d.buf) {
-		d.fail()
-		return 0
+var errTruncated = errors.New("verdictlog: truncated payload")
+
+// bytes takes the next n bytes (nil once the payload has run short).
+func (d *decoder) bytes(n int) []byte {
+	if d.err != nil || n < 0 || n > len(d.buf)-d.off {
+		d.err = errTruncated
+		return nil
 	}
-	v := d.buf[d.off]
-	d.off++
-	return v
+	d.off += n
+	return d.buf[d.off-n : d.off]
+}
+
+func (d *decoder) u8() byte {
+	if b := d.bytes(1); b != nil {
+		return b[0]
+	}
+	return 0
 }
 
 func (d *decoder) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.buf) {
-		d.fail()
-		return 0
+	if b := d.bytes(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
+	return 0
 }
 
 func (d *decoder) i32() int { return int(int32(d.u32())) }
 
-func (d *decoder) bytes(n int) []byte {
-	if d.err != nil || n < 0 || d.off+n > len(d.buf) {
-		d.fail()
-		return nil
-	}
-	v := d.buf[d.off : d.off+n]
-	d.off += n
-	return v
-}
-
+// elems reads a u32 count and that many i32 elements (nil for none).
 func (d *decoder) elems() []int {
 	count := int(d.u32())
-	if d.err != nil {
-		return nil
-	}
-	if count < 0 || count > maxUniverse || d.off+4*count > len(d.buf) {
-		d.fail()
-		return nil
-	}
-	if count == 0 {
+	raw := d.bytes(4 * count)
+	if len(raw) == 0 {
 		return nil
 	}
 	out := make([]int, count)
 	for i := range out {
-		out[i] = d.i32()
+		out[i] = int(int32(binary.LittleEndian.Uint32(raw[4*i:])))
 	}
 	return out
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("verdictlog: truncated payload")
-	}
 }
 
 // replaySegment reads one segment, returning the records up to the first

@@ -104,37 +104,6 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// A replayed record whose redundant vertex falls outside the universe
-// must be rejected like any other structural corruption: it would poison
-// the cache with an entry that panics the response renderer.
-func TestDecodeRejectsOutOfRangeRedundantVertex(t *testing.T) {
-	rec := mkRecord(0)
-	rec.Res.RedundantVertex = rec.N // one past the universe
-	payload, err := encodeRecord(&rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeRecord(payload); err == nil {
-		t.Fatal("decodeRecord accepted redundant vertex == n")
-	}
-	rec.Res.RedundantVertex = -2
-	payload, err = encodeRecord(&rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeRecord(payload); err == nil {
-		t.Fatal("decodeRecord accepted redundant vertex below -1 sentinel")
-	}
-	rec.Res.RedundantVertex = rec.N - 1
-	payload, err = encodeRecord(&rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := decodeRecord(payload); err != nil {
-		t.Fatalf("decodeRecord rejected in-range redundant vertex: %v", err)
-	}
-}
-
 func TestSegmentRoll(t *testing.T) {
 	dir := t.TempDir()
 	l, err := Open(dir, Options{SegmentBytes: 256})
