@@ -206,26 +206,52 @@ func benchmarkPathNodeTiny(b *testing.B) {
 	}
 }
 
-func BenchmarkBordersDualize(b *testing.B) {
+// bordersDatasets are the mining benchmarks' inputs: a small 80-row case,
+// and a case shaped like one mine of the serving benchmark's mine-borders
+// workload (1,000 rows, 22 items, 6 planted patterns of 2–5 items, dropout
+// 0.1, noise 0.05, z = 50).
+func bordersDatasets() []struct {
+	name string
+	d    *itemsets.Dataset
+	z    int
+} {
 	r := rand.New(rand.NewSource(99))
-	d := itemsets.GeneratePlanted(r, 9, 80, [][]int{{0, 1, 2}, {4, 5}, {6, 7, 8}}, 0.1, 0.05)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ComputeBorders(d, 8); err != nil {
-			b.Fatal(err)
-		}
+	small := itemsets.GeneratePlanted(r, 9, 80, [][]int{{0, 1, 2}, {4, 5}, {6, 7, 8}}, 0.1, 0.05)
+	r = rand.New(rand.NewSource(7))
+	pats := make([][]int, 6)
+	for p := range pats {
+		pats[p] = r.Perm(22)[:2+r.Intn(4)]
+	}
+	serving := itemsets.GeneratePlanted(r, 22, 1000, pats, 0.1, 0.05)
+	return []struct {
+		name string
+		d    *itemsets.Dataset
+		z    int
+	}{{"rows=80", small, 8}, {"rows=1000", serving, 50}}
+}
+
+func BenchmarkBordersDualize(b *testing.B) {
+	for _, c := range bordersDatasets() {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ComputeBorders(c.d, c.z); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 func BenchmarkBordersApriori(b *testing.B) {
-	r := rand.New(rand.NewSource(99))
-	d := itemsets.GeneratePlanted(r, 9, 80, [][]int{{0, 1, 2}, {4, 5}, {6, 7, 8}}, 0.1, 0.05)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := itemsets.BordersApriori(d, 8); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range bordersDatasets() {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := itemsets.BordersApriori(c.d, c.z); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

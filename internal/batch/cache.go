@@ -122,22 +122,40 @@ func (c *Cache) shard(k Key) *cacheShard { return &c.shards[k.hash()&c.mask] }
 
 // Get returns the cached verdict for k, marking it most recently used.
 func (c *Cache) Get(k Key) (*core.Result, bool) {
+	res, s := c.peek(k)
+	s.count(res != nil)
+	return res, res != nil
+}
+
+// peek is Get without the counting: it returns k's verdict (nil when
+// absent) and the shard that the caller must count the lookup in, once it
+// knows whether the lookup served a hit (nil when the cache is disabled).
+func (c *Cache) peek(k Key) (*core.Result, *cacheShard) {
 	if len(c.shards) == 0 {
-		return nil, false
+		return nil, nil
 	}
 	s := c.shard(k)
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	el, ok := s.m[k]
 	if !ok {
-		s.mu.Unlock()
-		s.misses.Add(1)
-		return nil, false
+		return nil, s
 	}
 	s.ll.MoveToFront(el)
-	res := el.Value.(*cacheEntry).res
-	s.mu.Unlock()
-	s.hits.Add(1)
-	return res, true
+	return el.Value.(*cacheEntry).res, s
+}
+
+// count records one lookup on the shard (none on a nil shard) as a hit or
+// a miss.
+func (s *cacheShard) count(hit bool) {
+	if s == nil {
+		return
+	}
+	if hit {
+		s.hits.Add(1)
+	} else {
+		s.misses.Add(1)
+	}
 }
 
 // Add inserts (or refreshes) a verdict, evicting the shard's least recently

@@ -97,11 +97,15 @@ func (s *Scheduler) lookup(ctx context.Context, q *Query) (out Outcome, hit bool
 	t0 := time.Now()
 	out.Source = SourceCache
 	if s.cfg.Cache != nil && faultinject.Fire(ctx, faultinject.PointCacheLookup) == nil {
-		out.Res, hit = s.cfg.Cache.Get(q.Key)
-	}
-	if hit && core.CheckVerdict(q.G, q.H, out.Res) != nil {
-		s.badHits.Add(1)
-		out.Res, hit = nil, false
+		// The shard counts the lookup only after the check, so a rejected
+		// entry shows as the miss it is answered as.
+		res, shard := s.cfg.Cache.peek(q.Key)
+		if res != nil && core.CheckVerdict(q.G, q.H, res) != nil {
+			s.badHits.Add(1)
+			res = nil
+		}
+		shard.count(res != nil)
+		out.Res, hit = res, res != nil
 	}
 	out.Lookup = time.Since(t0)
 	return out, hit

@@ -22,6 +22,18 @@
 //     this to DUAL), reporting a counterexample itemset when they are not.
 //
 // BordersApriori and BordersBrute provide independent baselines.
+//
+// ComputeBordersStreamWith and IdentifyWith count support vertically
+// (vertical.go): each call builds, in one pass over the rows, one row-id
+// bitset per item (tid_i = the rows containing item i), so f(U) =
+// |⋀_{i∈U} tid_i|, and the greedy extend and shrink walks keep running
+// intersections so that each item they try costs one word-parallel AND.
+// The walks make the same tests in the same order as walks that scan the
+// rows, so the borders and their order of discovery do not depend on the
+// layout. The exported predicates (Frequency, IsFrequent,
+// IsMaximalFrequent, IsMinimalInfrequent) and both baselines keep the row
+// scan: it is the paper's definition of f(U), and a baseline used as an
+// oracle must not share its support counting with the loop it checks.
 package itemsets
 
 import (
@@ -115,38 +127,6 @@ func (d *Dataset) validateThreshold(z int) error {
 	return nil
 }
 
-// extendToMaximal grows the frequent itemset u to a maximal frequent
-// itemset by greedily adding items in increasing order.
-func (d *Dataset) extendToMaximal(u bitset.Set, z int) bitset.Set {
-	r := u.Clone()
-	for i := 0; i < d.nItems; i++ {
-		if r.Contains(i) {
-			continue
-		}
-		r.Add(i)
-		if !d.IsFrequent(r, z) {
-			r.Remove(i)
-		}
-	}
-	return r
-}
-
-// shrinkToMinimalInfrequent shrinks the infrequent itemset u to a minimal
-// infrequent itemset by greedily removing items in increasing order. (By
-// anti-monotonicity of frequency the result's proper subsets are all
-// frequent.)
-func (d *Dataset) shrinkToMinimalInfrequent(u bitset.Set, z int) bitset.Set {
-	r := u.Clone()
-	u.ForEach(func(i int) bool {
-		r.Remove(i)
-		if d.IsFrequent(r, z) {
-			r.Add(i)
-		}
-		return true
-	})
-	return r
-}
-
 // IsMaximalFrequent reports whether u ∈ IS+(M, z).
 func (d *Dataset) IsMaximalFrequent(u bitset.Set, z int) bool {
 	if !d.IsFrequent(u, z) {
@@ -217,7 +197,12 @@ func ComputeBordersStreamWith(ctx context.Context, d *Dataset, z int, eng engine
 	if err := d.validateThreshold(z); err != nil {
 		return nil, err
 	}
-	n := d.nItems
+	return dualizeAndAdvance(ctx, d.nItems, newVertical(d, z), eng, onFound)
+}
+
+// dualizeAndAdvance is the loop of ComputeBordersStreamWith over n items, with
+// every frequency question answered by sup.
+func dualizeAndAdvance(ctx context.Context, n int, sup support, eng engine.Engine, onFound func(BorderEvent) error) (*Borders, error) {
 	b := &Borders{
 		MaxFrequent:   hypergraph.New(n),
 		MinInfrequent: hypergraph.New(n),
@@ -230,14 +215,14 @@ func ComputeBordersStreamWith(ctx context.Context, d *Dataset, z int, eng engine
 	}
 
 	// Degenerate case: even the empty itemset is infrequent (f(∅) = |M|).
-	if !d.IsFrequent(bitset.New(n), z) {
+	if !sup.frequent(bitset.New(n)) {
 		b.MinInfrequent.AddEdge(bitset.New(n))
 		if err := found(false, b.MinInfrequent.Edge(0)); err != nil {
 			return nil, err
 		}
 		return b, nil
 	}
-	b.MaxFrequent.AddEdge(d.extendToMaximal(bitset.New(n), z))
+	b.MaxFrequent.AddEdge(sup.extendToMaximal(bitset.New(n)))
 	if err := found(true, b.MaxFrequent.Edge(0)); err != nil {
 		return nil, err
 	}
@@ -249,7 +234,7 @@ func ComputeBordersStreamWith(ctx context.Context, d *Dataset, z int, eng engine
 			return nil, err
 		}
 		b.DualityChecks++
-		newMax, newMin, done, err := advance(ctx, d, z, b.MaxFrequent, b.MinInfrequent, eng)
+		newMax, newMin, done, err := advance(ctx, sup, b.MaxFrequent, b.MinInfrequent, eng)
 		if err != nil {
 			return nil, err
 		}
@@ -280,8 +265,7 @@ func ComputeBordersStreamWith(ctx context.Context, d *Dataset, z int, eng engine
 // itemset (newMax) or a minimal infrequent itemset (newMin). Every engine
 // classifies verdicts with core's Reason taxonomy, so the conversion below
 // is engine-independent.
-func advance(ctx context.Context, d *Dataset, z int, h, g *hypergraph.Hypergraph, eng engine.Engine) (newMax, newMin *bitset.Set, done bool, err error) {
-	n := d.nItems
+func advance(ctx context.Context, sup support, h, g *hypergraph.Hypergraph, eng engine.Engine) (newMax, newMin *bitset.Set, done bool, err error) {
 	x := h.ComplementEdges() // Hᶜ
 
 	res, err := eng.Decide(ctx, x, g)
@@ -307,8 +291,8 @@ func advance(ctx context.Context, d *Dataset, z int, h, g *hypergraph.Hypergraph
 		case g.M() == 0:
 			// tr(X) is nonempty but no minimal infrequent candidate is
 			// known yet: take any minimal transversal of X.
-			t := x.MinimalizeTransversal(bitset.Full(n))
-			return classify(d, z, t)
+			t := x.MinimalizeTransversal(bitset.Full(x.N()))
+			return classify(sup, t)
 		default:
 			return nil, nil, false, fmt.Errorf("itemsets: unexpected constant case (|X|=%d |G|=%d)", x.M(), g.M())
 		}
@@ -322,7 +306,7 @@ func advance(ctx context.Context, d *Dataset, z int, h, g *hypergraph.Hypergraph
 		// it extends to a new maximal frequent itemset.
 		gEdge := g.Edge(res.HEdge)
 		seed := gEdge.WithoutElem(res.RedundantVertex)
-		m := d.extendToMaximal(seed, z)
+		m := sup.extendToMaximal(seed)
 		return &m, nil, false, nil
 	case core.ReasonGEdgeNotMinimal:
 		// Some x = S−h is a non-minimal transversal of G: with u the
@@ -331,13 +315,13 @@ func advance(ctx context.Context, d *Dataset, z int, h, g *hypergraph.Hypergraph
 		// infrequent itemset.
 		hEdge := h.Edge(res.GEdge)
 		seed := hEdge.WithElem(res.RedundantVertex)
-		mi := d.shrinkToMinimalInfrequent(seed, z)
+		mi := sup.shrinkToMinimalInfrequent(seed)
 		return nil, &mi, false, nil
 	case core.ReasonNewTransversal:
 		// A transversal of X containing no g: it contains a minimal
 		// transversal of X outside G; classify it by frequency.
 		t := x.MinimalizeTransversal(res.Witness)
-		return classify(d, z, t)
+		return classify(sup, t)
 	default:
 		return nil, nil, false, fmt.Errorf("itemsets: unhandled verdict %v", res.Reason)
 	}
@@ -347,9 +331,9 @@ func advance(ctx context.Context, d *Dataset, z int, h, g *hypergraph.Hypergraph
 // new border element: if frequent it extends to a new maximal frequent
 // itemset; if infrequent it is itself minimal infrequent (its proper
 // subsets lie inside maximal frequent sets).
-func classify(d *Dataset, z int, t bitset.Set) (newMax, newMin *bitset.Set, done bool, err error) {
-	if d.IsFrequent(t, z) {
-		m := d.extendToMaximal(t, z)
+func classify(sup support, t bitset.Set) (newMax, newMin *bitset.Set, done bool, err error) {
+	if sup.frequent(t) {
+		m := sup.extendToMaximal(t)
 		return &m, nil, false, nil
 	}
 	return nil, &t, false, nil
@@ -407,8 +391,9 @@ func IdentifyWith(ctx context.Context, d *Dataset, z int, g, h *hypergraph.Hyper
 			return res, nil
 		}
 	}
+	sup := newVertical(d, z)
 	// Degenerate: nothing frequent at all.
-	if !d.IsFrequent(bitset.New(d.nItems), z) {
+	if !sup.frequent(bitset.New(d.nItems)) {
 		complete := h.M() == 0 && g.M() == 1 && g.Edge(0).IsEmpty()
 		res.Complete = complete
 		if !complete {
@@ -419,11 +404,11 @@ func IdentifyWith(ctx context.Context, d *Dataset, z int, g, h *hypergraph.Hyper
 	}
 	if h.M() == 0 {
 		// Claims are valid but at least one maximal frequent set exists.
-		m := d.extendToMaximal(bitset.New(d.nItems), z)
+		m := sup.extendToMaximal(bitset.New(d.nItems))
 		res.NewMaxFrequent = &m
 		return res, nil
 	}
-	newMax, newMin, done, err := advance(ctx, d, z, h, g, eng)
+	newMax, newMin, done, err := advance(ctx, sup, h, g, eng)
 	if err != nil {
 		return nil, err
 	}
